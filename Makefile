@@ -113,9 +113,15 @@ telemetry-smoke:
 	echo "telemetry-smoke: live endpoints ok"
 	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 64 -rate 1/4 -steps 4000 -sample-every 16 -spans 1 -trace /tmp/aqt-telemetry-smoke.jsonl
 
+# One 30s fuzz campaign per target. -fuzz takes one target per package
+# run, so every pattern is anchored: an unanchored name would also match
+# any later target it is a prefix of.
 fuzz:
-	$(GO) test -fuzz FuzzRandomWRWindow -fuzztime 30s ./internal/adversary
-	$(GO) test -fuzz FuzzKeyedHeapAgreement -fuzztime 30s ./internal/sim
-	$(GO) test -fuzz FuzzDropPolicy -fuzztime 30s ./internal/sim
-	$(GO) test -fuzz FuzzScenarioLoad -fuzztime 30s ./internal/scenario
-	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 30s ./internal/scenario
+	$(GO) test -fuzz '^FuzzRandomWRWindow$$' -fuzztime 30s ./internal/adversary
+	$(GO) test -fuzz '^FuzzKeyedHeapAgreement$$' -fuzztime 30s ./internal/sim
+	$(GO) test -fuzz '^FuzzDropPolicy$$' -fuzztime 30s ./internal/sim
+	$(GO) test -fuzz '^FuzzScenarioLoad$$' -fuzztime 30s ./internal/scenario
+	$(GO) test -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/scenario
+	$(GO) test -fuzz '^FuzzBufferOps$$' -fuzztime 30s ./internal/buffer
+	$(GO) test -fuzz '^FuzzArithmetic$$' -fuzztime 30s ./internal/rational
+	$(GO) test -fuzz '^FuzzPacerCumulative$$' -fuzztime 30s ./internal/rational

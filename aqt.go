@@ -127,8 +127,6 @@ type (
 	Adversary = sim.Adversary
 	// Observer is notified after every step.
 	Observer = sim.Observer
-	// Recorder samples queue-size series.
-	Recorder = sim.Recorder
 	// Snapshot summarizes engine state.
 	Snapshot = sim.Snapshot
 	// LatencyObserver records end-to-end packet latencies.
@@ -141,9 +139,6 @@ type (
 var (
 	// NewEngine returns an engine (nil adversary = no injections).
 	NewEngine = sim.New
-	// NewRecorder returns a queue-size recorder sampling every stride
-	// steps.
-	NewRecorder = sim.NewRecorder
 )
 
 // Observability: the flight recorder, metrics registry and sweep
@@ -160,6 +155,12 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// Meter instruments one engine with the standard metrics.
 	Meter = obs.Meter
+	// Sampler records the backlog and other engine gauges as bounded,
+	// stride-doubling time series and tracks the exact peak backlog.
+	// Register with Sampler.Attach.
+	Sampler = obs.Sampler
+	// SamplerConfig configures a Sampler (stride, series bound, meter).
+	SamplerConfig = obs.SamplerConfig
 	// SweepProgress is one probe-layer progress report.
 	SweepProgress = obs.SweepProgress
 	// StatusLine renders SweepProgress as a live stderr line.
@@ -174,6 +175,8 @@ var (
 	NewMetricsRegistry = obs.NewRegistry
 	// NewMeter returns a standard engine meter (nil = fresh registry).
 	NewMeter = obs.NewMeter
+	// NewSampler returns a time-series sampler.
+	NewSampler = obs.NewSampler
 	// NewStatusLine returns a throttled progress line writing to w.
 	NewStatusLine = obs.NewStatusLine
 )

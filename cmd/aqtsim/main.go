@@ -6,17 +6,17 @@
 //
 //	aqtsim -topo ring -size 6 -policy FIFO -w 20 -rate 1/4 -maxlen 3 -steps 10000
 //	aqtsim -topo line -size 4 -adv burst -cap 8 -drop ntg -steps 10000
-//	aqtsim -scenario scenarios/quickstart.json
 //
-// Rates are rationals ("1/4") or decimals ("0.25"). With -scenario,
-// the whole configuration comes from a declarative spec file instead
-// (see internal/scenario); all other simulation flags are ignored.
+// Rates are rationals ("1/4") or decimals ("0.25"). To run a
+// declarative spec file instead, use `scenario run` (cmd/scenario).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"aqt/internal/adversary"
 	"aqt/internal/gadget"
@@ -24,7 +24,6 @@ import (
 	"aqt/internal/obs"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
-	"aqt/internal/scenario"
 	"aqt/internal/sim"
 	"aqt/internal/stability"
 )
@@ -74,16 +73,12 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics-registry summary")
 	serve := flag.String("serve", "", "serve live telemetry (/metrics /series /trace /healthz /debug/pprof) on this address, e.g. 127.0.0.1:8080")
 	serveHold := flag.Bool("serve-hold", false, "with -serve: keep serving the final state after the run until killed")
-	sampleEvery := flag.Int64("sample-every", 0, "telemetry sampling stride in steps (0 = auto ~512 samples; implies a sampler when -serve is set)")
+	sampleEvery := flag.Int64("sample-every", 0, "sampling stride in steps for the backlog series, plot and telemetry (0 = auto ~512 samples)")
 	spans := flag.Int64("spans", 0, "trace per-packet spans for ~1/N of packet IDs (0 = off, 1 = every packet)")
 	checkpointFile := flag.String("checkpoint", "", "write an engine checkpoint (JSON) to this file after the run")
 	restoreFile := flag.String("restore", "", "restore engine state from this checkpoint file before running -steps more steps (observer series restart at the resume point)")
-	scenarioFile := flag.String("scenario", "", "run a declarative scenario file instead (overrides topology/policy/adversary flags)")
 	flag.Parse()
 
-	if *scenarioFile != "" {
-		os.Exit(runScenario(*scenarioFile))
-	}
 	if *listPols {
 		for _, p := range policy.All() {
 			tr := p.Traits()
@@ -133,8 +128,6 @@ func main() {
 		cfg = sim.Config{BufferCap: *bufCap, Drop: drop}
 	}
 	eng := sim.NewWithConfig(g, pol, adv, cfg)
-	rec := sim.NewRecorder(maxI64(*steps/512, 1))
-	eng.AddObserver(rec)
 	lat := &sim.LatencyObserver{}
 	eng.AddObserver(lat)
 	var wv *adversary.WindowValidator
@@ -154,15 +147,14 @@ func main() {
 		meter = obs.NewMeter(nil)
 		eng.AddObserver(meter)
 	}
-	var sam *obs.Sampler
-	if *serve != "" || *sampleEvery > 0 {
-		ev := *sampleEvery
-		if ev <= 0 {
-			ev = maxI64(*steps/512, 1)
-		}
-		sam = obs.NewSampler(obs.SamplerConfig{Every: ev, Meter: meter})
-		sam.Attach(eng)
+	ev := *sampleEvery
+	if ev <= 0 {
+		ev = max(*steps/512, 1)
 	}
+	// The auto stride retains fewer than 1024 samples, so the series is
+	// never downsampled unless -sample-every asks for more.
+	sam := obs.NewSampler(obs.SamplerConfig{Every: ev, MaxSamples: 1024, Meter: meter})
+	sam.Attach(eng)
 	var spanTr *obs.SpanTracer
 	if *spans > 0 {
 		spanTr = obs.NewSpanTracer(obs.SpanConfig{SampleEvery: *spans, Seed: uint64(*seed)})
@@ -230,13 +222,13 @@ func main() {
 		fmt.Printf("buffer cap %d (drop %s): dropped %d\n", eng.BufferCap(), eng.Drop().Name(), snap.Dropped)
 	}
 	fmt.Printf("peak backlog %d; max single buffer %d (edge %s)\n",
-		rec.PeakTotal(), snap.MaxQueueLen, g.EdgeName(snap.MaxQueueAt))
+		sam.PeakTotal(), snap.MaxQueueLen, g.EdgeName(snap.MaxQueueAt))
 	fmt.Printf("max per-buffer residence %d (floor(w*r) bound: %d)\n",
 		eng.MaxResidence(true), stability.ResidenceBound(*w, rate))
 	fmt.Printf("%s\n", lat.Stats())
 	fmt.Printf("engine: %s\n", snap.Stats)
-	fmt.Printf("verdict: %v\n", stability.Classify(rec.Samples(), 1.25))
-	fmt.Print(rec.AsciiPlot(64, 10))
+	fmt.Printf("verdict: %v\n", stability.Classify(sam.Backlog(), 1.25))
+	fmt.Print(asciiPlot(sam.Backlog(), 64, 10))
 	var violation error
 	if wv != nil {
 		// CheckAndNotify: a violation lands in the flight-recorder ring
@@ -274,7 +266,7 @@ func main() {
 		if werr == nil && spanTr != nil {
 			werr = spanTr.DumpJSONL(f)
 		}
-		if werr == nil && sam != nil {
+		if werr == nil {
 			werr = sam.DumpJSONL(f)
 		}
 		if werr != nil {
@@ -304,7 +296,7 @@ func main() {
 			die(err)
 		}
 		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
+		if err := writeCSV(f, sam); err != nil {
 			die(err)
 		}
 		fmt.Printf("series written to %s\n", *csv)
@@ -323,26 +315,66 @@ func main() {
 	}
 }
 
-// runScenario loads, builds and runs one scenario file, printing the
-// same deterministic report as `scenario run`. Exit 0 on success, 1 on
-// failed checks, 2 on a bad spec.
-func runScenario(path string) int {
-	b, err := scenario.BuildFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aqtsim: %v\n", err)
-		return 2
+// writeCSV writes the sampler's backlog and queue_max series as
+// "t,total_queued,max_queue" rows.
+func writeCSV(w io.Writer, sam *obs.Sampler) error {
+	series := sam.Series()
+	backlog, qmax := series[0].Points, series[1].Points
+	if _, err := fmt.Fprintln(w, "t,total_queued,max_queue"); err != nil {
+		return err
 	}
-	out := b.Run()
-	b.WriteReport(os.Stdout, out)
-	if !out.OK() {
-		return 1
+	for i, p := range backlog {
+		if _, err := fmt.Fprintf(w, "%d,%d,%d\n", p.T, p.V, qmax[i].V); err != nil {
+			return err
+		}
 	}
-	return 0
+	return nil
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// asciiPlot renders a backlog series as a crude fixed-size ASCII chart
+// for terminal reports. width and height are clamped to sane minima.
+// When several points fall into one column the column shows their
+// maximum — point-sampling one value per column would let a
+// single-step spike vanish from the plot entirely.
+func asciiPlot(points []obs.Point, width, height int) string {
+	width, height = max(width, 10), max(height, 3)
+	if len(points) == 0 {
+		return "(no samples)\n"
 	}
-	return b
+	var maxV int64 = 1
+	for _, p := range points {
+		maxV = max(maxV, p.V)
+	}
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	// Per-column max: every point lands in exactly one column, so no
+	// spike is lost. Columns without a point of their own (fewer points
+	// than columns) fall back to the nearest-point mapping.
+	n := len(points)
+	colMax := make([]int64, width)
+	colSet := make([]bool, width)
+	for i, p := range points {
+		x := 0
+		if n > 1 {
+			x = i * (width - 1) / (n - 1)
+		}
+		if !colSet[x] || p.V > colMax[x] {
+			colSet[x], colMax[x] = true, p.V
+		}
+	}
+	for x := 0; x < width; x++ {
+		v := colMax[x]
+		if !colSet[x] {
+			v = points[x*(n-1)/(width-1)].V
+		}
+		y := int(v * int64(height-1) / maxV)
+		grid[height-1-y][x] = '*'
+	}
+	out := fmt.Sprintf("total queued (peak %d over %d samples)\n", maxV, n)
+	for _, row := range grid {
+		out += string(row) + "\n"
+	}
+	return out
 }

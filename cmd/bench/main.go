@@ -312,9 +312,11 @@ func specs() []benchSpec {
 		})
 	}
 
-	// The Recorder-observed path: stride-1 peak tracking on Line(32)
-	// and Line(256). Before the incremental max these scaled per-step
-	// cost with edge count; the Line256 row pins that they no longer do.
+	// The sampled path: a stride-1 obs.Sampler (exact peak plus a
+	// bounded series) on Line(32) and Line(256). Before the incremental
+	// max these scaled per-step cost with edge count; the Line256 row
+	// pins that they no longer do. The StepRecorded names predate the
+	// Sampler and are kept so -against still matches older trajectories.
 	for _, n := range []int{32, 256} {
 		n := n
 		out = append(out, benchSpec{
@@ -325,7 +327,7 @@ func specs() []benchSpec {
 					g := graph.Line(n)
 					adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
 					eng = sim.New(g, policy.FIFO{}, adv)
-					eng.AddObserver(sim.NewRecorder(1))
+					obs.NewSampler(obs.SamplerConfig{Every: 1}).Attach(eng)
 					eng.Run(256)
 					b.ReportAllocs()
 					b.ResetTimer()

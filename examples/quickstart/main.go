@@ -25,20 +25,20 @@ func main() {
 
 	// Run FIFO for 10k steps, sampling the backlog.
 	eng := aqt.NewEngine(g, aqt.FIFO{}, adv)
-	rec := aqt.NewRecorder(20)
-	eng.AddObserver(rec)
+	sam := aqt.NewSampler(aqt.SamplerConfig{Every: 20})
+	sam.Attach(eng)
 	eng.Run(10_000)
 
 	snap := eng.Snap()
 	fmt.Println("quickstart: FIFO on an 8-ring under a (20, 1/4) adversary")
 	fmt.Printf("  injected %d, absorbed %d, in flight %d\n",
 		snap.Injected, snap.Absorbed, snap.TotalQueued)
-	fmt.Printf("  peak backlog %d packets\n", rec.PeakTotal())
+	fmt.Printf("  peak backlog %d packets\n", sam.PeakTotal())
 
 	// Theorem 4.1: at r <= 1/(d+1) no packet waits more than
 	// floor(w*r) steps in any one buffer — check it live.
 	bound := aqt.ResidenceBound(w, rate)
 	fmt.Printf("  max per-buffer residence %d (Theorem 4.1 bound %d)\n",
 		eng.MaxResidence(true), bound)
-	fmt.Printf("  verdict: %v\n", aqt.Classify(rec.Samples(), 1.25))
+	fmt.Printf("  verdict: %v\n", aqt.Classify(sam.Backlog(), 1.25))
 }

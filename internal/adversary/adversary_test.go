@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/rational"
 	"aqt/internal/sim"
@@ -73,11 +74,13 @@ func TestStreamRouteFn(t *testing.T) {
 	})
 	var routes []int
 	e := sim.New(g, fifo(), s)
-	tr := &sim.Tracer{}
-	e.AddObserver(tr)
+	fr := obs.NewFlightRecorder(64)
+	e.AddEventObserver(fr)
 	e.Run(6)
-	for _, ev := range tr.Events() {
-		routes = append(routes, len(ev.Route))
+	for _, ev := range fr.Events() {
+		if ev.Kind == obs.EvInject {
+			routes = append(routes, ev.Hops)
+		}
 	}
 	want := []int{1, 1, 2, 2}
 	if len(routes) != 4 {
@@ -397,16 +400,21 @@ func TestObservation44Equivalence(t *testing.T) {
 
 	transformed := Observation44(streams, seeds)
 	e := sim.New(g, fifo(), transformed)
-	tr := &sim.Tracer{}
-	e.AddObserver(tr)
+	fr := obs.NewFlightRecorder(256)
+	e.AddEventObserver(fr)
 	e.Run(15)
 	if e.Injected() != 6 {
 		t.Fatalf("injected %d, want 6", e.Injected())
 	}
-	evs := tr.Events()
+	var evs []obs.Event
+	for _, ev := range fr.Events() {
+		if ev.Kind == obs.EvInject {
+			evs = append(evs, ev)
+		}
+	}
 	seedCount := 0
 	for _, ev := range evs {
-		if ev.T == 1 && len(ev.Route) == 1 {
+		if ev.T == 1 && ev.Hops == 1 {
 			seedCount++
 		}
 	}
@@ -417,7 +425,7 @@ func TestObservation44Equivalence(t *testing.T) {
 	// 2,4,6,8. Shifted: 3,5,7,9.
 	var streamTimes []int64
 	for _, ev := range evs {
-		if len(ev.Route) == 2 {
+		if ev.Hops == 2 {
 			streamTimes = append(streamTimes, ev.T)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"aqt/internal/core"
 	"aqt/internal/gadget"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -489,8 +490,8 @@ func zooRun(p core.Params, pol policy.Policy, s int64) (stability.Verdict, int64
 	c := gadget.NewChain(p.N, m, true)
 	e := sim.New(c.G, pol, nil)
 	e.SeedN(int(s), packet.Injection{Route: []graph.EdgeID{c.Ingress(1)}})
-	rec := sim.NewRecorder(256)
-	e.AddObserver(rec)
+	sam := obs.NewSampler(obs.SamplerConfig{Every: 256, MaxSamples: 1 << 14})
+	sam.Attach(e)
 
 	peaks := []int64{}
 	for cycle := 0; cycle < 3; cycle++ {
@@ -519,7 +520,7 @@ func zooRun(p core.Params, pol policy.Policy, s int64) (stability.Verdict, int64
 	if len(peaks) >= 2 && peaks[len(peaks)-1] > peaks[0]*5/4 {
 		verdict = stability.Diverging
 	}
-	return verdict, rec.PeakTotal()
+	return verdict, sam.PeakTotal()
 }
 
 // B4FIFOBelowOneOverD verifies that FIFO stays stable on G_eps when
@@ -545,12 +546,12 @@ func B4FIFOBelowOneOverD(q Quick) *Table {
 		rate := stability.TimePriorityRateBound(d)
 		adv := adversary.NewRandomWR(c.G, w, rate, d, 31)
 		e := sim.New(c.G, policy.FIFO{}, adv)
-		rec := sim.NewRecorder(32)
-		e.AddObserver(rec)
+		sam := obs.NewSampler(obs.SamplerConfig{Every: 32, MaxSamples: 1 << 14})
+		sam.Attach(e)
 		e.Run(steps)
 		measured := e.MaxResidence(true)
 		bound := stability.ResidenceBound(w, rate)
-		verdict := stability.Classify(rec.Samples(), 1.25)
+		verdict := stability.Classify(sam.Backlog(), 1.25)
 		ok := measured <= bound && verdict == stability.Stable && e.Injected() > 0
 		if !ok {
 			t.OK = false

@@ -1,15 +1,17 @@
-// Sampler turns the end-state metrics of PR 5 into trajectories: a
-// step observer that snapshots engine gauges every Every steps into
-// per-metric time series, bounded by the same stride-doubling
-// downsampling scheme as sim.Recorder.MaxSamples. The paper's
-// stability statements (Theorem 3.17's backlog growth, the Lemma 3.6
-// pump phases) are claims about exactly these trajectories.
+// Sampler is the simulator's one time-series recorder: a step observer
+// that snapshots engine gauges every Every steps into per-metric time
+// series, bounded by stride-doubling downsampling, and tracks the exact
+// per-step peak backlog. The paper's stability statements (Theorem
+// 3.17's backlog growth, the Theorem 4.1/4.3 bounds) are claims about
+// exactly these trajectories; stability.Classify reads the backlog
+// series.
 package obs
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"aqt/internal/sim"
 )
@@ -50,9 +52,11 @@ type SamplerConfig struct {
 	// Every is the sampling stride in steps (<= 0 means 1: every step).
 	Every int64
 	// MaxSamples bounds each retained series; whenever an append would
-	// exceed it the effective stride doubles and off-stride points are
-	// dropped, exactly like sim.Recorder. <= 0 means 512; clamped to a
-	// minimum of 16.
+	// exceed it the effective stride doubles (a power-of-two factor on
+	// top of Every) and off-stride points are dropped, so the series
+	// stays uniformly spaced. Storage grows by append, so a large bound
+	// costs nothing until the points exist. <= 0 means 512; clamped to
+	// a minimum of 16.
 	MaxSamples int
 	// Meter, when non-nil, adds latency_p50/latency_p99 series read
 	// from the meter's sim.latency histogram at each sample step.
@@ -60,9 +64,10 @@ type SamplerConfig struct {
 }
 
 // Sampler records per-metric time series from an engine's step hook.
-// Off-sample steps cost one modulo; sample steps cost O(series) and
-// allocate nothing once the preallocated series are live, so the
-// engine hot path stays 0 allocs/op with a Sampler attached.
+// Off-sample steps cost a peak compare and one modulo; sample steps
+// cost O(series), and once the series have grown to their MaxSamples
+// bound they allocate nothing, so the engine hot path stays 0
+// allocs/op with a Sampler attached.
 //
 // Like the engine it observes, a Sampler is goroutine-confined; live
 // readers go through Server.PublishTelemetry snapshots.
@@ -78,6 +83,7 @@ type Sampler struct {
 	eng        *sim.Engine
 	series     []Series
 	factor     int64 // power-of-two downsampling factor (0 or 1 = none)
+	peak       int64 // largest backlog seen at any step, sampled or not
 }
 
 // NewSampler returns a sampler with the given configuration. Attach it
@@ -106,10 +112,6 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 		s.series[numCoreSeries].Name = "latency_p50"
 		s.series[numCoreSeries+1].Name = "latency_p99"
 	}
-	for i := range s.series {
-		// cap+1 so the append-then-downsample cycle never regrows.
-		s.series[i].Points = make([]Point, 0, s.maxSamples+1)
-	}
 	return s
 }
 
@@ -130,6 +132,14 @@ func (s *Sampler) EffectiveEvery() int64 { return s.eff() }
 // Series returns the recorded series (shared slices; read-only).
 func (s *Sampler) Series() []Series { return s.series }
 
+// Backlog returns the retained total-queued series (shared; read-only)
+// — the trajectory stability.Classify judges.
+func (s *Sampler) Backlog() []Point { return s.series[sBacklog].Points }
+
+// PeakTotal returns the largest total backlog observed at any step,
+// exact regardless of the sampling stride or downsampling.
+func (s *Sampler) PeakTotal() int64 { return s.peak }
+
 func (s *Sampler) eff() int64 {
 	ev := s.every
 	if s.factor > 1 {
@@ -138,16 +148,20 @@ func (s *Sampler) eff() int64 {
 	return ev
 }
 
-// OnStep implements sim.Observer: a single modulo off sample steps,
-// O(series) reads on them (every engine gauge the sampler reads is
-// maintained incrementally).
+// OnStep implements sim.Observer: a peak compare and a single modulo
+// off sample steps, O(series) reads on them (every engine gauge the
+// sampler reads is maintained incrementally).
 func (s *Sampler) OnStep(e *sim.Engine) {
+	tot := e.TotalQueued()
+	if tot > s.peak {
+		s.peak = tot
+	}
 	if e.Now()%s.eff() != 0 {
 		return
 	}
 	var vals [maxSeries]int64
 	s.gauges(e, &vals)
-	vals[sBacklog] = e.TotalQueued()
+	vals[sBacklog] = tot
 	vals[sQueueMax] = int64(e.MaxQueued())
 	s.push(e.Now(), &vals)
 }
@@ -217,8 +231,8 @@ func (s *Sampler) AcceptLeap(kind sim.LeapKind) bool {
 }
 
 // OnLeap implements sim.LeapObserver by reconstructing the samples
-// OnStep would have appended across the window. Fired before the
-// engine mutates, so the occupancy histogram still describes the
+// and peak OnStep would have recorded across the window. Fired before
+// the engine mutates, so the occupancy histogram still describes the
 // window's start. Idle: every series is constant (backlog and max
 // zero). Drain: every nonempty buffer sheds exactly one final-edge
 // packet per step, so backlog(dt) = Σ_{l>dt} (l−dt)·edges(l), max(dt)
@@ -239,6 +253,20 @@ func (s *Sampler) OnLeap(e *sim.Engine, info sim.LeapInfo) {
 		curMax = int64(e.MaxQueued())
 		tot0 = e.TotalQueued()
 	}
+	backlog := func(dt int64) int64 {
+		var tot int64
+		for _, lv := range levels {
+			if lv.l > dt {
+				tot += (lv.l - dt) * lv.cnt
+			}
+		}
+		return tot
+	}
+	// The backlog is nonincreasing inside a static window, so the only
+	// candidate peak is its first step.
+	if tot := backlog(1); tot > s.peak {
+		s.peak = tot
+	}
 	absorbed0 := e.Absorbed()
 	// Sampled steps: every effective-stride multiple in (From, To]. The
 	// stride is re-read after each append because appending may trigger
@@ -247,12 +275,7 @@ func (s *Sampler) OnLeap(e *sim.Engine, info sim.LeapInfo) {
 	for t := (info.From/eff + 1) * eff; t <= info.To; {
 		if info.Kind == sim.LeapDrain {
 			dt := t - info.From
-			var tot int64
-			for _, lv := range levels {
-				if lv.l > dt {
-					tot += (lv.l - dt) * lv.cnt
-				}
-			}
+			tot := backlog(dt)
 			vals[sBacklog] = tot
 			if curMax > dt {
 				vals[sQueueMax] = curMax - dt
@@ -291,9 +314,9 @@ func WriteSeriesJSONL(w io.Writer, series []Series) error {
 }
 
 // SeriesInto copies the sampler's series into *dst, reusing its
-// backing storage; after the first call (which sizes every Points
-// buffer for the MaxSamples bound) it allocates nothing. The server
-// publisher runs this at every sample boundary.
+// backing storage; once the copies have grown to the series' largest
+// length it allocates nothing. The server publisher runs this at every
+// sample boundary.
 func (s *Sampler) SeriesInto(dst *[]Series) {
 	d := *dst
 	if cap(d) < len(s.series) {
@@ -302,9 +325,6 @@ func (s *Sampler) SeriesInto(dst *[]Series) {
 	d = d[:len(s.series)]
 	for i := range s.series {
 		d[i].Name = s.series[i].Name
-		if cap(d[i].Points) < s.maxSamples+1 {
-			d[i].Points = make([]Point, 0, s.maxSamples+1)
-		}
 		d[i].Points = append(d[i].Points[:0], s.series[i].Points...)
 	}
 	*dst = d
@@ -317,19 +337,21 @@ type SeriesState struct {
 }
 
 // SamplerState is the serializable dynamic state of a Sampler:
-// configuration, downsampling factor and the retained series.
-// Restoring it onto a same-shaped fresh sampler reproduces the
-// uninterrupted series, including future stride-doubling points.
+// configuration, downsampling factor, the exact peak backlog and the
+// retained series. Restoring it onto a same-shaped fresh sampler
+// reproduces the uninterrupted series, including future stride-doubling
+// points.
 type SamplerState struct {
 	Every      int64         `json:"every"`
 	MaxSamples int           `json:"max_samples"`
 	Factor     int64         `json:"factor,omitempty"`
+	PeakTotal  int64         `json:"peak_total,omitempty"`
 	Series     []SeriesState `json:"series"`
 }
 
 // CheckpointState extracts the sampler's state (points are copied).
 func (s *Sampler) CheckpointState() SamplerState {
-	st := SamplerState{Every: s.every, MaxSamples: s.maxSamples, Factor: s.factor}
+	st := SamplerState{Every: s.every, MaxSamples: s.maxSamples, Factor: s.factor, PeakTotal: s.peak}
 	for i := range s.series {
 		st.Series = append(st.Series, SeriesState{
 			Name:   s.series[i].Name,
@@ -339,8 +361,7 @@ func (s *Sampler) CheckpointState() SamplerState {
 	return st
 }
 
-// maxSamplerBound caps a restored MaxSamples (hostile input: the
-// preallocation is MaxSamples+1 points per series).
+// maxSamplerBound caps a restored MaxSamples.
 const maxSamplerBound = 1 << 20
 
 // RestoreState overwrites the sampler with a previously extracted
@@ -355,8 +376,21 @@ func (s *Sampler) RestoreState(st SamplerState) error {
 	if st.MaxSamples < 16 || st.MaxSamples > maxSamplerBound {
 		return fmt.Errorf("sampler state: max_samples %d outside [16,%d]", st.MaxSamples, maxSamplerBound)
 	}
-	if st.Factor < 0 {
-		return fmt.Errorf("sampler state: negative factor %d", st.Factor)
+	// A factor off the power-of-two ladder, or one whose effective
+	// stride overflows int64 (every*factor wrapping to 0 would divide by
+	// zero in the next OnStep), never came from a real run.
+	if st.Factor < 0 || st.Factor&(st.Factor-1) != 0 {
+		return fmt.Errorf("sampler state: factor %d is not 0, 1 or a power of two", st.Factor)
+	}
+	if st.Factor > 1 && st.Every > math.MaxInt64/st.Factor {
+		return fmt.Errorf("sampler state: every %d × factor %d overflows", st.Every, st.Factor)
+	}
+	if st.PeakTotal < 0 {
+		return fmt.Errorf("sampler state: negative peak_total %d", st.PeakTotal)
+	}
+	eff := st.Every
+	if st.Factor > 1 {
+		eff *= st.Factor
 	}
 	if len(st.Series) != len(s.series) {
 		return fmt.Errorf("sampler state: %d series, sampler configured with %d", len(st.Series), len(s.series))
@@ -382,15 +416,17 @@ func (s *Sampler) RestoreState(st SamplerState) error {
 				return fmt.Errorf("sampler state: series %q point %d at t=%d, %q at t=%d (series must stay aligned)",
 					st.Series[i].Name, j, p.T, st.Series[0].Name, st.Series[0].Points[j].T)
 			}
+			if p.T < 1 || p.T%eff != 0 {
+				return fmt.Errorf("sampler state: series %q point %d at t=%d off the effective stride %d",
+					st.Series[i].Name, j, p.T, eff)
+			}
 		}
 	}
 	s.every = st.Every
 	s.maxSamples = st.MaxSamples
 	s.factor = st.Factor
+	s.peak = st.PeakTotal
 	for i := range s.series {
-		if cap(s.series[i].Points) < s.maxSamples+1 {
-			s.series[i].Points = make([]Point, 0, s.maxSamples+1)
-		}
 		s.series[i].Points = append(s.series[i].Points[:0], st.Series[i].Points...)
 	}
 	return nil

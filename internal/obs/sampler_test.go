@@ -226,6 +226,16 @@ func TestSamplerStateRejects(t *testing.T) {
 		{"max_samples too small", func(st *obs.SamplerState) { st.MaxSamples = 15 }},
 		{"max_samples too large", func(st *obs.SamplerState) { st.MaxSamples = 1 << 21 }},
 		{"negative factor", func(st *obs.SamplerState) { st.Factor = -2 }},
+		{"factor not a power of two", func(st *obs.SamplerState) { st.Factor = 6 }},
+		{"every×factor overflows", func(st *obs.SamplerState) { st.Every, st.Factor = 4, 1<<62 }},
+		{"negative peak_total", func(st *obs.SamplerState) { st.PeakTotal = -1 }},
+		{"points off the effective stride", func(st *obs.SamplerState) {
+			for i := range st.Series {
+				p := append([]obs.Point(nil), st.Series[i].Points...)
+				p[len(p)-1].T++
+				st.Series[i].Points = p
+			}
+		}},
 		{"series dropped", func(st *obs.SamplerState) { st.Series = st.Series[:len(st.Series)-1] }},
 		{"series renamed", func(st *obs.SamplerState) { st.Series[0].Name = "bogus" }},
 		{"too many points", func(st *obs.SamplerState) {
@@ -269,6 +279,29 @@ func TestSamplerStateRejects(t *testing.T) {
 	fresh := obs.NewSampler(obs.SamplerConfig{Every: 2, MaxSamples: 16})
 	if err := fresh.RestoreState(mk()); err != nil {
 		t.Errorf("pristine state rejected: %v", err)
+	}
+}
+
+// TestSamplerRestoreOverflowingStride is the regression test for a
+// hostile state that used to be accepted: every 4 × factor 2^62 wraps
+// the effective stride to 0, and the next Step panicked with an integer
+// divide by zero. It must be refused, leaving a sampler that still
+// steps.
+func TestSamplerRestoreOverflowingStride(t *testing.T) {
+	s := obs.NewSampler(obs.SamplerConfig{})
+	names := []string{"backlog", "queue_max", "absorbed", "drops", "heap_skips", "heap_compactions"}
+	st := obs.SamplerState{Every: 4, MaxSamples: 512, Factor: 1 << 62}
+	for _, name := range names {
+		st.Series = append(st.Series, obs.SeriesState{Name: name})
+	}
+	if err := s.RestoreState(st); err == nil {
+		t.Fatal("state with every×factor overflowing int64 accepted")
+	}
+	e := burstEngine()
+	s.Attach(e)
+	e.Run(10)
+	if s.PeakTotal() == 0 || len(s.Backlog()) != 10 {
+		t.Errorf("sampler unusable after the rejected restore: peak %d, %d points", s.PeakTotal(), len(s.Backlog()))
 	}
 }
 

@@ -60,13 +60,13 @@ type Built struct {
 	Graph  *graph.Graph
 	Engine *sim.Engine
 
-	// Observers requested by the run block (nil when absent).
-	Recorder *sim.Recorder
-	Latency  *sim.LatencyObserver
-	Window   *adversary.WindowValidator
-	Meter    *obs.Meter
-	Sampler  *obs.Sampler
-	Spans    *obs.SpanTracer
+	// Observers requested by the run block (nil when absent). The
+	// "recorder" and "sampler" observer names both build Sampler.
+	Latency *sim.LatencyObserver
+	Window  *adversary.WindowValidator
+	Meter   *obs.Meter
+	Sampler *obs.Sampler
+	Spans   *obs.SpanTracer
 }
 
 // Build validates the spec and instantiates it. Observers are attached
@@ -110,9 +110,6 @@ func build(c ctx, s *Spec) (*Built, error) {
 	b := &Built{Spec: s, Graph: comp.g, Engine: e}
 	for _, name := range s.Run.Observers {
 		switch name {
-		case ObsRecorder:
-			b.Recorder = sim.NewRecorder(recorderStride(s.Run.Steps))
-			e.AddObserver(b.Recorder)
 		case ObsLatency:
 			b.Latency = &sim.LatencyObserver{}
 			e.AddObserver(b.Latency)
@@ -129,9 +126,12 @@ func build(c ctx, s *Spec) (*Built, error) {
 	// spec listed them in.
 	for _, name := range s.Run.Observers {
 		switch name {
-		case ObsSampler:
+		case ObsRecorder, ObsSampler:
+			if b.Sampler != nil {
+				break
+			}
 			b.Sampler = obs.NewSampler(obs.SamplerConfig{
-				Every: recorderStride(s.Run.Steps), Meter: b.Meter})
+				Every: samplerStride(s.Run.Steps), Meter: b.Meter})
 			b.Sampler.Attach(e)
 		case ObsSpans:
 			b.Spans = obs.NewSpanTracer(obs.SpanConfig{})
@@ -144,8 +144,8 @@ func build(c ctx, s *Spec) (*Built, error) {
 	return b, nil
 }
 
-// recorderStride matches cmd/aqtsim's sizing: ~512 samples per run.
-func recorderStride(steps int64) int64 {
+// samplerStride matches cmd/aqtsim's sizing: ~512 samples per run.
+func samplerStride(steps int64) int64 {
 	if s := steps / 512; s > 1 {
 		return s
 	}
@@ -228,8 +228,8 @@ func (b *Built) evalChecks() []string {
 			fails = append(fails, fmt.Sprintf("max_residence: %d > %d", r, cs.MaxResidence))
 		}
 	}
-	if cs.MaxBacklog > 0 && b.Recorder != nil {
-		if p := b.Recorder.PeakTotal(); p > cs.MaxBacklog {
+	if cs.MaxBacklog > 0 && b.Sampler != nil {
+		if p := b.Sampler.PeakTotal(); p > cs.MaxBacklog {
 			fails = append(fails, fmt.Sprintf("max_backlog: peak %d > %d", p, cs.MaxBacklog))
 		}
 	}

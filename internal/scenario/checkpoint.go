@@ -1,7 +1,7 @@
 // Scenario-level checkpoint/restore: one document wrapping the engine
 // checkpoint together with the states of every observer the spec
-// configured (Recorder, latency, window validator, meter, sampler,
-// span tracer). The spec
+// configured (latency, window validator, meter, sampler, span tracer).
+// The spec
 // file is the single source of truth for everything a checkpoint does
 // NOT carry — topology, policy table, buffer config, adversary
 // program — so restore means: Build the same spec fresh, then apply
@@ -24,7 +24,9 @@ import (
 )
 
 // CheckpointVersion is the scenario checkpoint document version.
-const CheckpointVersion = 1
+// Version 2 dropped the "recorder" field (that observer now checkpoints
+// as "sampler"); version 1 documents are rejected.
+const CheckpointVersion = 2
 
 // Checkpoint is a paused scenario run: the engine state plus every
 // configured observer's state. Observer fields are present exactly
@@ -33,7 +35,6 @@ type Checkpoint struct {
 	Version  int                  `json:"version"`
 	Scenario string               `json:"scenario"`
 	Engine   *sim.Checkpoint      `json:"engine"`
-	Recorder *sim.RecorderState   `json:"recorder,omitempty"`
 	Latency  []int64              `json:"latency,omitempty"`
 	Window   adversary.UsageState `json:"window,omitempty"`
 	Meter    *obs.MeterState      `json:"meter,omitempty"`
@@ -50,7 +51,6 @@ type checkpointDoc struct {
 	Version    int                  `json:"version"`
 	Scenario   string               `json:"scenario"`
 	Engine     *sim.Checkpoint      `json:"engine"`
-	Recorder   *sim.RecorderState   `json:"recorder,omitempty"`
 	HasLatency bool                 `json:"has_latency,omitempty"`
 	Latency    []int64              `json:"latency,omitempty"`
 	Window     adversary.UsageState `json:"window,omitempty"`
@@ -71,10 +71,6 @@ func (b *Built) Checkpoint() (*Checkpoint, error) {
 		Version:  CheckpointVersion,
 		Scenario: b.Spec.Name,
 		Engine:   ec,
-	}
-	if b.Recorder != nil {
-		st := b.Recorder.CheckpointState()
-		cp.Recorder = &st
 	}
 	if b.Latency != nil {
 		cp.hasLatency = true
@@ -105,7 +101,6 @@ func (cp *Checkpoint) Encode() []byte {
 		Version:    cp.Version,
 		Scenario:   cp.Scenario,
 		Engine:     cp.Engine,
-		Recorder:   cp.Recorder,
 		HasLatency: cp.hasLatency,
 		Latency:    cp.Latency,
 		Window:     cp.Window,
@@ -164,7 +159,6 @@ func DecodeCheckpoint(file string, data []byte) (*Checkpoint, error) {
 		Version:    doc.Version,
 		Scenario:   doc.Scenario,
 		Engine:     doc.Engine,
-		Recorder:   doc.Recorder,
 		Latency:    doc.Latency,
 		Window:     doc.Window,
 		Meter:      doc.Meter,
@@ -187,10 +181,6 @@ func (b *Built) Restore(cp *Checkpoint) error {
 	if cp.Engine == nil {
 		return fmt.Errorf("scenario checkpoint: missing engine state")
 	}
-	if (cp.Recorder != nil) != (b.Recorder != nil) {
-		return fmt.Errorf("scenario checkpoint: recorder state present=%v but spec configures recorder=%v",
-			cp.Recorder != nil, b.Recorder != nil)
-	}
 	if cp.hasLatency != (b.Latency != nil) {
 		return fmt.Errorf("scenario checkpoint: latency state present=%v but spec configures latency=%v",
 			cp.hasLatency, b.Latency != nil)
@@ -212,11 +202,6 @@ func (b *Built) Restore(cp *Checkpoint) error {
 	}
 	if err := b.Engine.Restore(cp.Engine); err != nil {
 		return err
-	}
-	if cp.Recorder != nil {
-		if err := b.Recorder.RestoreState(*cp.Recorder); err != nil {
-			return err
-		}
 	}
 	if b.Latency != nil {
 		b.Latency.RestoreState(cp.Latency)

@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update", false, "rewrite checkpoint golden files")
 
 // TestCheckpointGolden pins the checkpoint wire format byte-for-byte:
 // two corpus scenarios — quickstart (sequence/script/burst adversary,
-// recorder + latency) and e14 (bounded drop-tail with real drops) —
+// sampler via the "recorder" alias + latency) and e14 (bounded drop-tail with real drops) —
 // run to a fixed step and encoded. Any change to the encoding shows up
 // here first and forces a deliberate decision: bump CheckpointVersion
 // (and sim.CheckpointVersion if the engine document changed) or fix

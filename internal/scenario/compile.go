@@ -211,8 +211,8 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 		if cs.MinInjected < 0 || cs.MaxResidence < 0 || cs.MaxBacklog < 0 {
 			return nil, c.errf("checks", "check thresholds must be >= 0")
 		}
-		if cs.MaxBacklog > 0 && !seen[ObsRecorder] {
-			return nil, c.errf("checks.max_backlog", `max_backlog needs the "recorder" observer (peak backlog)`)
+		if cs.MaxBacklog > 0 && !seen[ObsRecorder] && !seen[ObsSampler] {
+			return nil, c.errf("checks.max_backlog", `max_backlog needs the "recorder" or "sampler" observer (peak backlog)`)
 		}
 		if cs.WindowCompliant && !seen[ObsWindow] {
 			return nil, c.errf("checks.window_compliant", `window_compliant needs the "window" observer`)

@@ -36,8 +36,8 @@ func (b *Built) WriteReport(w io.Writer, out Outcome) {
 		st := b.Latency.Stats()
 		fmt.Fprintf(w, "  latency: n=%d min=%.0f max=%.0f mean=%.2f\n", b.Latency.Count(), st.Min, st.Max, st.Mean)
 	}
-	if b.Recorder != nil {
-		fmt.Fprintf(w, "  backlog peak %d\n", b.Recorder.PeakTotal())
+	if b.Sampler != nil {
+		fmt.Fprintf(w, "  backlog peak %d\n", b.Sampler.PeakTotal())
 	}
 	if s.Checks != nil {
 		if out.OK() {

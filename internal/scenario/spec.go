@@ -223,12 +223,13 @@ type SeedSpec struct {
 // observerless fast path; event observers still fire), "leap"
 // (batch-advance provably static windows; results are identical).
 //
-// Observers: "recorder" (queue-size series), "latency" (end-to-end
-// latency stats), "window" (the (w,r) WindowValidator — requires
-// Window), "meter" (the obs metrics registry), "sampler" (telemetry
-// time series, stride-matched to the recorder; adds latency-quantile
-// series when "meter" is also configured), "spans" (per-packet causal
-// spans with per-edge residence histograms).
+// Observers: "sampler" (the obs.Sampler time series at ~512 samples
+// per run plus the exact peak backlog; adds latency-quantile series
+// when "meter" is also configured), "recorder" (an alias of "sampler"
+// kept for older specs; listing both builds one sampler), "latency"
+// (end-to-end latency stats), "window" (the (w,r) WindowValidator —
+// requires Window), "meter" (the obs metrics registry), "spans"
+// (per-packet causal spans with per-edge residence histograms).
 type RunSpec struct {
 	Steps     int64       `json:"steps"`
 	Mode      string      `json:"mode,omitempty"`
@@ -244,7 +245,7 @@ type WindowSpec struct {
 }
 
 // ChecksSpec lists post-run assertions. Zero-valued fields are not
-// checked. MaxBacklog needs the "recorder" observer (peak backlog);
+// checked. MaxBacklog needs the "sampler" (or "recorder") observer;
 // WindowCompliant needs the "window" observer; MaxDropped needs a
 // bounded buffer block (an unbounded engine never drops).
 type ChecksSpec struct {

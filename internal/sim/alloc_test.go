@@ -11,6 +11,7 @@ import (
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -47,8 +48,8 @@ func TestStepAllocsRandomWR(t *testing.T) {
 }
 
 // TestStepAllocsRecorded pins the observation path itself: a stride-32
-// Recorder on random (w,r) load must not add per-step allocations
-// (sample appends amortize below one alloc per step).
+// obs.Sampler on random (w,r) load must not add per-step allocations
+// (series appends amortize below one alloc per step).
 func TestStepAllocsRecorded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -56,8 +57,7 @@ func TestStepAllocsRecorded(t *testing.T) {
 	g := graph.Line(32)
 	adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
 	e := sim.New(g, policy.FIFO{}, adv)
-	rec := sim.NewRecorder(32)
-	e.AddObserver(rec)
+	obs.NewSampler(obs.SamplerConfig{Every: 32}).Attach(e)
 	e.Run(512)
 	if avg := testing.AllocsPerRun(512, func() { e.Step() }); avg != 0 {
 		t.Errorf("recorded random (w,r) load: %v allocs per Step, want 0", avg)

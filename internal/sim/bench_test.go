@@ -17,6 +17,7 @@ import (
 	"aqt/internal/adversary"
 	"aqt/internal/gadget"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -67,11 +68,11 @@ func BenchmarkStep(b *testing.B) {
 
 // BenchmarkStepRecorded measures the observation path the stability
 // experiments and threshold searches drive: Step with a stride-1
-// Recorder attached (peak tracking every step), against the same
+// obs.Sampler attached (peak tracking every step), against the same
 // engine unobserved. Before the incremental max-queue counter the
-// recorded variant scaled per-step cost with edge count (the Recorder
-// forced an O(E) MaxQueueLen scan each step); the Line256 pair pins
-// that the recorded/quiet gap no longer grows with E.
+// recorded variant scaled per-step cost with edge count (an O(E)
+// MaxQueueLen scan each step); the Line256 pair pins that the
+// recorded/quiet gap no longer grows with E.
 func BenchmarkStepRecorded(b *testing.B) {
 	for _, n := range []int{32, 256} {
 		for _, recorded := range []bool{false, true} {
@@ -84,7 +85,7 @@ func BenchmarkStepRecorded(b *testing.B) {
 				adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
 				e := sim.New(g, policy.FIFO{}, adv)
 				if recorded {
-					e.AddObserver(sim.NewRecorder(1))
+					obs.NewSampler(obs.SamplerConfig{Every: 1}).Attach(e)
 				}
 				e.Run(256)
 				b.ReportAllocs()

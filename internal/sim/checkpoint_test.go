@@ -10,6 +10,7 @@ import (
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -123,24 +124,23 @@ func TestCheckpointDropAccounting(t *testing.T) {
 }
 
 // TestCheckpointRecorderDownsampled runs a million steps with a small
-// MaxSamples bound so the Recorder goes through several power-of-two
+// MaxSamples bound so an obs.Sampler goes through several power-of-two
 // downsampling rounds, splits at an interior step, and requires the
-// resumed recorder's full state — samples, stride, factor, peaks — to
+// resumed sampler's full state — series, stride, factor, peak — to
 // match the uninterrupted run exactly.
 func TestCheckpointRecorderDownsampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1e6-step run")
 	}
-	build := func() (*sim.Engine, *sim.Recorder) {
+	build := func() (*sim.Engine, *obs.Sampler) {
 		g := graph.Ring(4)
 		e := sim.New(g, policy.FIFO{}, adversary.NewBurstScript(adversary.BurstStream{
 			Name: "b", Start: 1, Period: 16, Burst: 2, Budget: -1,
 			Route: []graph.EdgeID{g.MustEdge("e1"), g.MustEdge("e2")},
 		}))
-		rec := sim.NewRecorder(3)
-		rec.MaxSamples = 64
-		e.AddObserver(rec)
-		return e, rec
+		sam := obs.NewSampler(obs.SamplerConfig{Every: 3, MaxSamples: 64})
+		sam.Attach(e)
+		return e, sam
 	}
 	const total, k = 1_000_000, 333_333
 	direct, directRec := build()
@@ -167,9 +167,12 @@ func TestCheckpointRecorderDownsampled(t *testing.T) {
 		t.Fatalf("resumed run diverges: %v", err)
 	}
 	if ds, rs := directRec.CheckpointState(), resumedRec.CheckpointState(); !reflect.DeepEqual(ds, rs) {
-		t.Fatalf("recorder state differs after 1e6 steps:\ndirect:  %+v\nresumed: %+v", ds, rs)
+		t.Fatalf("sampler state differs after 1e6 steps:\ndirect:  %+v\nresumed: %+v", ds, rs)
 	}
-	if directRec.EffectiveStride() == 3 {
+	if directRec.PeakTotal() == 0 {
+		t.Fatal("run never queued a packet; peak comparison vacuous")
+	}
+	if directRec.EffectiveEvery() == 3 {
 		t.Fatal("run never downsampled; property vacuous")
 	}
 }

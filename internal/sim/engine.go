@@ -782,9 +782,9 @@ func (e *Engine) Queue(eid graph.EdgeID) *buffer.Buffer { return &e.buffers[eid]
 func (e *Engine) TotalQueued() int64 { return e.injected - e.absorbed - e.dropped }
 
 // MaxQueued returns the largest current buffer occupancy in O(1),
-// maintained incrementally from per-edge length deltas. Stride-1 peak
-// tracking (Recorder) uses this every step; resolve the achieving edge
-// with MaxQueueLen only when needed.
+// maintained incrementally from per-edge length deltas. Per-step
+// observers (obs.Sampler's queue_max series) read this; resolve the
+// achieving edge with MaxQueueLen only when needed.
 func (e *Engine) MaxQueued() int { return e.curMax }
 
 // MaxQueueLen returns the largest current buffer occupancy and the

@@ -321,79 +321,6 @@ func TestGreedyInvariant(t *testing.T) {
 	}
 }
 
-func TestObserversFire(t *testing.T) {
-	g := graph.Line(2)
-	tr := &Tracer{}
-	adv := &onceInjector{at: 2, injs: []packet.Injection{packet.Inj(route(g, "e1", "e2")...)}}
-	e := New(g, policy.FIFO{}, adv)
-	e.AddObserver(tr)
-	rec := NewRecorder(1)
-	e.AddObserver(rec)
-	e.Run(4)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != EvInject || evs[0].T != 2 {
-		t.Errorf("trace events = %+v", evs)
-	}
-	if len(rec.Samples()) != 4 {
-		t.Errorf("recorder samples = %d", len(rec.Samples()))
-	}
-	if rec.PeakTotal() != 1 {
-		t.Errorf("peak total = %d", rec.PeakTotal())
-	}
-}
-
-func TestTracerRecordsReroutes(t *testing.T) {
-	g := graph.Line(3)
-	tr := &Tracer{}
-	e := New(g, policy.FIFO{}, nil)
-	e.AddObserver(tr)
-	p := e.Seed(packet.Inj(route(g, "e1")...))
-	e.ExtendRoute(p, route(g, "e2"))
-	evs := tr.Events()
-	if len(evs) != 2 || evs[1].Kind != EvReroute {
-		t.Fatalf("events = %+v", evs)
-	}
-	if len(evs[1].Route) != 1 {
-		t.Errorf("old route length = %d, want 1", len(evs[1].Route))
-	}
-}
-
-func TestTracerCap(t *testing.T) {
-	g := graph.Line(1)
-	tr := &Tracer{Cap: 2}
-	e := New(g, policy.FIFO{}, nil)
-	e.AddObserver(tr)
-	e.SeedN(5, packet.Inj(route(g, "e1")...))
-	if len(tr.Events()) != 2 {
-		t.Errorf("cap not applied: %d events", len(tr.Events()))
-	}
-}
-
-func TestRecorderStrideAndCSV(t *testing.T) {
-	g := graph.Line(1)
-	rec := NewRecorder(3)
-	e := New(g, policy.FIFO{}, nil)
-	e.AddObserver(rec)
-	e.SeedN(2, packet.Inj(route(g, "e1")...))
-	e.Run(9)
-	if len(rec.Samples()) != 3 {
-		t.Errorf("stride-3 over 9 steps = %d samples", len(rec.Samples()))
-	}
-	var sb strings.Builder
-	if err := rec.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "t,total_queued,max_queue\n") {
-		t.Error("CSV header missing")
-	}
-	if got := len(strings.Split(strings.TrimSpace(sb.String()), "\n")); got != 4 {
-		t.Errorf("CSV rows = %d", got)
-	}
-	if !strings.Contains(rec.AsciiPlot(20, 5), "*") {
-		t.Error("ascii plot empty")
-	}
-}
-
 func TestSetAdversaryMidRun(t *testing.T) {
 	g := graph.Line(1)
 	e := New(g, policy.FIFO{}, nil)
@@ -451,5 +378,76 @@ func TestQuickUnitCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestEngineAccessors(t *testing.T) {
+	g := graph.Line(1)
+	adv := NopAdversary{}
+	e := New(g, policy.FIFO{}, adv)
+	if e.Graph() != g {
+		t.Error("Graph accessor")
+	}
+	if e.Policy().Name() != "FIFO" {
+		t.Error("Policy accessor")
+	}
+	if e.Adversary() != Adversary(adv) {
+		t.Error("Adversary accessor")
+	}
+}
+
+func TestForEachQueuedOrder(t *testing.T) {
+	g := graph.Line(2)
+	e := New(g, policy.FIFO{}, nil)
+	a := e.Seed(packet.InjNamed(g, "e1"))
+	b := e.Seed(packet.InjNamed(g, "e2"))
+	c := e.Seed(packet.InjNamed(g, "e1"))
+	var order []packet.ID
+	e.ForEachQueued(func(eid graph.EdgeID, p *packet.Packet) {
+		order = append(order, p.ID)
+	})
+	// Edge ID order, then enqueue order within an edge.
+	want := []packet.ID{a.ID, c.ID, b.ID}
+	if len(order) != 3 {
+		t.Fatalf("visited %d", len(order))
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Errorf("order[%d] = %d, want %d", i, order[i], want[i])
+		}
+	}
+}
+
+func TestNilGraphOrPolicyPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"nil graph":  func() { New(nil, policy.FIFO{}, nil) },
+		"nil policy": func() { New(graph.Line(1), nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestInjectFuncAdapter(t *testing.T) {
+	g := graph.Line(1)
+	count := 0
+	adv := InjectFunc(func(e *Engine) []packet.Injection {
+		count++
+		if e.Now() == 1 {
+			return []packet.Injection{packet.InjNamed(g, "e1")}
+		}
+		return nil
+	})
+	adv.PreStep(nil) // no-op must not panic
+	e := New(g, policy.FIFO{}, adv)
+	e.Run(3)
+	if count != 3 || e.Injected() != 1 {
+		t.Errorf("count=%d injected=%d", count, e.Injected())
 	}
 }

@@ -38,7 +38,7 @@
 // LeapObserver and accepts the window's kind. Accepting observers get
 // one OnLeap call per window, fired BEFORE the engine state mutates,
 // so they can reconstruct their per-step observations from the
-// pre-window state in closed form (sim.Recorder and obs.Meter do).
+// pre-window state in closed form (obs.Sampler and obs.Meter do).
 // Observers that cannot reconstruct (e.g. LatencyObserver needs each
 // absorption) simply refuse the kind and the engine falls back to
 // stepping — correctness never depends on acceptance.

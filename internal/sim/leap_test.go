@@ -1,6 +1,6 @@
 // Differential tests for leap mode: RunLeap must be the same execution
 // as Run — bit-identical Snapshot (modulo Stats.Nanos), identical
-// per-edge queues, residence and Recorder output — while actually
+// per-edge queues, residence and Sampler output — while actually
 // leaping on the workloads it exists for. This file is the equivalence
 // gate named in the leap.go package doc.
 package sim_test
@@ -8,10 +8,12 @@ package sim_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -209,40 +211,31 @@ func TestLeapRandomDifferential(t *testing.T) {
 	}
 }
 
-// TestLeapRecorderEquivalence attaches a Recorder (the one leap-aware
-// observer in this package) to both runs: the sampled series, peaks
-// and effective stride must be identical whether the windows were
-// stepped or reconstructed in closed form by Recorder.OnLeap.
+// TestLeapRecorderEquivalence attaches an obs.Sampler (the leap-aware
+// time-series recorder) to both runs: the sampled series, the exact
+// peak and the effective stride must be identical whether the windows
+// were stepped or reconstructed in closed form by Sampler.OnLeap.
+// MaxSamples 64 forces downsampling inside leaped stretches too.
 func TestLeapRecorderEquivalence(t *testing.T) {
 	for _, stride := range []int64{1, 7} {
 		for _, sc := range leapScenarios() {
 			t.Run(fmt.Sprintf("%s/stride=%d", sc.name, stride), func(t *testing.T) {
 				leap, step := sc.build(policy.FIFO{}), sc.build(policy.FIFO{})
-				lr, sr := sim.NewRecorder(stride), sim.NewRecorder(stride)
-				leap.AddObserver(lr)
-				step.AddObserver(sr)
+				cfg := obs.SamplerConfig{Every: stride, MaxSamples: 64}
+				ls, ss := obs.NewSampler(cfg), obs.NewSampler(cfg)
+				ls.Attach(leap)
+				ss.Attach(step)
 				leap.RunLeap(sc.steps)
 				step.Run(sc.steps)
 				requireSameExecution(t, leap, step)
 				if leap.Leaps().Windows == 0 {
-					t.Error("Recorder acceptance should not prevent leaping")
+					t.Error("Sampler acceptance should not prevent leaping")
 				}
-				if lr.PeakTotal() != sr.PeakTotal() {
-					t.Errorf("PeakTotal: leap %d != step %d", lr.PeakTotal(), sr.PeakTotal())
+				if ls.PeakTotal() != ss.PeakTotal() {
+					t.Errorf("PeakTotal: leap %d != step %d", ls.PeakTotal(), ss.PeakTotal())
 				}
-				le, lm := lr.PeakBuffer()
-				se, sm := sr.PeakBuffer()
-				if lm != sm {
-					t.Errorf("PeakBuffer: leap %d (edge %d) != step %d (edge %d)", lm, le, sm, se)
-				}
-				lsamp, ssamp := lr.Samples(), sr.Samples()
-				if len(lsamp) != len(ssamp) {
-					t.Fatalf("sample count: leap %d != step %d", len(lsamp), len(ssamp))
-				}
-				for i := range lsamp {
-					if lsamp[i] != ssamp[i] {
-						t.Fatalf("sample %d: leap %+v != step %+v", i, lsamp[i], ssamp[i])
-					}
+				if lst, sst := ls.CheckpointState(), ss.CheckpointState(); !reflect.DeepEqual(lst, sst) {
+					t.Fatalf("sampler state: leap %+v != step %+v", lst, sst)
 				}
 			})
 		}

@@ -5,23 +5,26 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"aqt/internal/obs"
 	"aqt/internal/sim"
 )
 
 // ProbeCheckpointVersion is the probe checkpoint document version.
-const ProbeCheckpointVersion = 1
+// Version 2 carries an obs.Sampler state; earlier versions are
+// rejected.
+const ProbeCheckpointVersion = 2
 
 // ProbeCheckpoint is a paused stability probe: the engine state, the
-// recorder's sampled series and peaks, and enough run parameters to
+// sampler's backlog series and exact peak, and enough run parameters to
 // finish the probe exactly as Run would have. Long threshold
 // bisections persist these between probe evaluations and survive
 // process restarts without losing mid-probe work.
 type ProbeCheckpoint struct {
-	Version   int               `json:"version"`
-	Engine    *sim.Checkpoint   `json:"engine"`
-	Recorder  sim.RecorderState `json:"recorder"`
-	Remaining int64             `json:"remaining"`
-	Growth    float64           `json:"growth"`
+	Version   int              `json:"version"`
+	Engine    *sim.Checkpoint  `json:"engine"`
+	Sampler   obs.SamplerState `json:"sampler"`
+	Remaining int64            `json:"remaining"`
+	Growth    float64          `json:"growth"`
 }
 
 // PauseRun starts the probe Run(eng, steps, stride, growthThreshold)
@@ -32,9 +35,8 @@ func PauseRun(eng *sim.Engine, steps, stride, pauseAt int64, growthThreshold flo
 	if pauseAt < 1 || pauseAt > steps {
 		return nil, fmt.Errorf("stability: pauseAt %d outside [1, %d]", pauseAt, steps)
 	}
-	rec := sim.NewRecorder(stride)
-	rec.MaxSamples = 1 << 14
-	eng.AddObserver(rec)
+	sam := newProbeSampler(stride)
+	sam.Attach(eng)
 	eng.RunLeap(pauseAt)
 	ec, err := eng.Checkpoint()
 	if err != nil {
@@ -43,7 +45,7 @@ func PauseRun(eng *sim.Engine, steps, stride, pauseAt int64, growthThreshold flo
 	return &ProbeCheckpoint{
 		Version:   ProbeCheckpointVersion,
 		Engine:    ec,
-		Recorder:  rec.CheckpointState(),
+		Sampler:   sam.CheckpointState(),
 		Remaining: steps - pauseAt,
 		Growth:    growthThreshold,
 	}, nil
@@ -64,21 +66,16 @@ func ResumeRun(eng *sim.Engine, pc *ProbeCheckpoint) (RunReport, error) {
 	if pc.Remaining < 0 {
 		return RunReport{}, fmt.Errorf("stability: negative remaining step count %d", pc.Remaining)
 	}
-	rec := sim.NewRecorder(1) // stride overwritten by RestoreState
-	eng.AddObserver(rec)
+	sam := newProbeSampler(1) // stride overwritten by RestoreState
+	sam.Attach(eng)
 	if err := eng.Restore(pc.Engine); err != nil {
 		return RunReport{}, err
 	}
-	if err := rec.RestoreState(pc.Recorder); err != nil {
+	if err := sam.RestoreState(pc.Sampler); err != nil {
 		return RunReport{}, err
 	}
 	eng.RunLeap(pc.Remaining)
-	return RunReport{
-		Verdict:    Classify(rec.Samples(), pc.Growth),
-		PeakTotal:  rec.PeakTotal(),
-		FinalTotal: eng.TotalQueued(),
-		Samples:    rec.Samples(),
-	}, nil
+	return report(eng, sam, pc.Growth), nil
 }
 
 // Encode renders the probe checkpoint as deterministic indented JSON

@@ -2,6 +2,7 @@ package stability
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"aqt/internal/adversary"
@@ -133,12 +134,25 @@ func TestProbeCheckpointRejects(t *testing.T) {
 	for _, doc := range []string{
 		`{}`,
 		`not json`,
-		`{"version": 2, "engine": {"version": 1}, "recorder": {"stride": 1}, "remaining": 0, "growth": 1}`,
-		`{"version": 1, "engine": {"version": 1, "num_nodes": 2, "num_edges": 1, "policy": "FIFO"},
-		  "recorder": {"stride": 1}, "remaining": -4, "growth": 1}`,
+		`{"version": 3, "engine": {"version": 1}, "sampler": {"every": 1}, "remaining": 0, "growth": 1}`,
+		`{"version": 2, "engine": {"version": 1, "num_nodes": 2, "num_edges": 1, "policy": "FIFO"},
+		  "sampler": {"every": 1}, "remaining": -4, "growth": 1}`,
 	} {
 		if _, err := DecodeProbeCheckpoint([]byte(doc)); err == nil {
 			t.Errorf("accepted %q", doc)
 		}
+	}
+	// A version-1 document (the retired recorder state) is refused by
+	// version, with an error rather than a panic.
+	pc, err := PauseRun(drainingProbe(), 100, 10, 50, 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.Version = 1
+	if _, err := DecodeProbeCheckpoint(pc.Encode()); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 probe checkpoint: error %v, want an unsupported-version error", err)
+	}
+	if _, err := ResumeRun(drainingProbe(), pc); err == nil {
+		t.Error("ResumeRun accepted a version-1 probe checkpoint")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -133,28 +134,28 @@ func (v Verdict) String() string {
 	}
 }
 
-// Classify inspects a total-queued series sampled over a run and
-// decides whether the system is stable. The rule compares backlog
-// peaks over the last third of the run against the middle third: a
-// growth ratio above growthThreshold (e.g. 1.25) means diverging;
-// anything else is stable. Series shorter than 9 samples are
-// inconclusive.
-func Classify(samples []sim.Sample, growthThreshold float64) Verdict {
-	if len(samples) < 9 {
+// Classify inspects a total-queued series sampled over a run (an
+// obs.Sampler's Backlog) and decides whether the system is stable. The
+// rule compares backlog peaks over the last third of the run against
+// the middle third: a growth ratio above growthThreshold (e.g. 1.25)
+// means diverging; anything else is stable. Series shorter than 9
+// samples are inconclusive.
+func Classify(backlog []obs.Point, growthThreshold float64) Verdict {
+	if len(backlog) < 9 {
 		return Inconclusive
 	}
-	third := len(samples) / 3
+	third := len(backlog) / 3
 	peak := func(from, to int) int64 {
 		var m int64
-		for _, s := range samples[from:to] {
-			if s.TotalQueued > m {
-				m = s.TotalQueued
+		for _, p := range backlog[from:to] {
+			if p.V > m {
+				m = p.V
 			}
 		}
 		return m
 	}
 	mid := peak(third, 2*third)
-	last := peak(2*third, len(samples))
+	last := peak(2*third, len(backlog))
 	if mid == 0 {
 		if last == 0 {
 			return Stable
@@ -167,37 +168,46 @@ func Classify(samples []sim.Sample, growthThreshold float64) Verdict {
 	return Stable
 }
 
-// RunAndClassify executes an engine for the given steps, sampling
-// every stride, and classifies the backlog series.
+// RunReport is the outcome of a classified run: the verdict, the exact
+// peak and final backlog, and the sampled backlog series.
 type RunReport struct {
 	Verdict    Verdict
 	PeakTotal  int64
 	FinalTotal int64
-	Samples    []sim.Sample
+	Samples    []obs.Point
 }
 
-// Run runs eng for steps and classifies.
+// newProbeSampler returns the sampler a probe classifies. Its series
+// are bounded at 2^14 points so million-step stride-1 probes cannot
+// grow memory with the horizon: past it the sampler doubles its
+// effective stride in place. The peak stays exact, and every workload
+// the repo's experiments run stays far below the bound, so their
+// series — and Classify verdicts — are never downsampled.
+func newProbeSampler(stride int64) *obs.Sampler {
+	return obs.NewSampler(obs.SamplerConfig{Every: stride, MaxSamples: 1 << 14})
+}
+
+// Run runs eng for steps, sampling the backlog every stride steps, and
+// classifies the series.
 func Run(eng *sim.Engine, steps, stride int64, growthThreshold float64) RunReport {
-	rec := sim.NewRecorder(stride)
-	// Bound the retained series so million-step stride-1 probes cannot
-	// grow memory with the horizon: past 2^14 samples the recorder
-	// doubles its effective stride in place. Peaks stay exact (they are
-	// tracked every step, independent of sampling) and every workload
-	// the repo's experiments run stays far below the bound, so existing
-	// series — and Classify verdicts — are unchanged.
-	rec.MaxSamples = 1 << 14
-	eng.AddObserver(rec)
+	sam := newProbeSampler(stride)
+	sam.Attach(eng)
 	// RunLeap batch-advances provably static stretches (idle tails and
 	// final-edge drains) when the adversary reports a horizon; with a
 	// non-static adversary or extra observers it degrades to Run's
-	// per-step execution, bit-identically either way. The Recorder
-	// reconstructs its samples and peaks across leaped windows.
+	// per-step execution, bit-identically either way. The sampler
+	// reconstructs its samples and peak across leaped windows.
 	eng.RunLeap(steps)
+	return report(eng, sam, growthThreshold)
+}
+
+// report classifies the sampler's backlog series at the end of a run.
+func report(eng *sim.Engine, sam *obs.Sampler, growthThreshold float64) RunReport {
 	return RunReport{
-		Verdict:    Classify(rec.Samples(), growthThreshold),
-		PeakTotal:  rec.PeakTotal(),
+		Verdict:    Classify(sam.Backlog(), growthThreshold),
+		PeakTotal:  sam.PeakTotal(),
 		FinalTotal: eng.TotalQueued(),
-		Samples:    rec.Samples(),
+		Samples:    sam.Backlog(),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
@@ -118,10 +119,10 @@ func TestResidenceResultString(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	mk := func(vals ...int64) []sim.Sample {
-		out := make([]sim.Sample, len(vals))
+	mk := func(vals ...int64) []obs.Point {
+		out := make([]obs.Point, len(vals))
 		for i, v := range vals {
-			out[i] = sim.Sample{T: int64(i), TotalQueued: v}
+			out[i] = obs.Point{T: int64(i), V: v}
 		}
 		return out
 	}
