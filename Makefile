@@ -8,12 +8,15 @@
 # package list also covers the leap engine (internal/sim leap windows,
 # adversary StaticUntil horizons, obs leap observers) — the
 # leap-vs-step differential property test runs under -race here.
+# Last, it vets and tests the perfbench module: it has its own go.mod,
+# so the root `go build ./...` never compiles it, and an API it uses
+# could otherwise be deleted unnoticed.
 
 GO ?= go
 
-.PHONY: verify test vet race bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
+.PHONY: verify test vet race perfbench-check bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
 
-verify: test vet race
+verify: test vet race perfbench-check
 
 test:
 	$(GO) build ./...
@@ -24,6 +27,9 @@ vet:
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
+
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Emit a BENCH_<LABEL>.json trajectory point (default label: git short hash).
 LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)

@@ -129,10 +129,6 @@ type (
 	Observer = sim.Observer
 	// Snapshot summarizes engine state.
 	Snapshot = sim.Snapshot
-	// LatencyObserver records end-to-end packet latencies.
-	LatencyObserver = sim.LatencyObserver
-	// LatencyStats summarizes recorded latencies.
-	LatencyStats = sim.LatencyStats
 )
 
 // Engine constructors.

@@ -128,8 +128,10 @@ func main() {
 		cfg = sim.Config{BufferCap: *bufCap, Drop: drop}
 	}
 	eng := sim.NewWithConfig(g, pol, adv, cfg)
-	lat := &sim.LatencyObserver{}
-	eng.AddObserver(lat)
+	// The meter is the run's one latency source; -metrics only decides
+	// whether its registry summary is printed.
+	meter := obs.NewMeter(nil)
+	eng.AddObserver(meter)
 	var wv *adversary.WindowValidator
 	if *validate {
 		wv = adversary.NewWindowValidator(*w, rate)
@@ -142,18 +144,19 @@ func main() {
 		fr = obs.NewFlightRecorder(*traceCap)
 		eng.AddEventObserver(fr)
 	}
-	var meter *obs.Meter
-	if *metrics {
-		meter = obs.NewMeter(nil)
-		eng.AddObserver(meter)
-	}
 	ev := *sampleEvery
 	if ev <= 0 {
 		ev = max(*steps/512, 1)
 	}
 	// The auto stride retains fewer than 1024 samples, so the series is
 	// never downsampled unless -sample-every asks for more.
-	sam := obs.NewSampler(obs.SamplerConfig{Every: ev, MaxSamples: 1024, Meter: meter})
+	// Latency-quantile series ride along only under -metrics, so the
+	// series and trace dumps of a plain run stay backlog-only.
+	samCfg := obs.SamplerConfig{Every: ev, MaxSamples: 1024}
+	if *metrics {
+		samCfg.Meter = meter
+	}
+	sam := obs.NewSampler(samCfg)
 	sam.Attach(eng)
 	var spanTr *obs.SpanTracer
 	if *spans > 0 {
@@ -164,11 +167,7 @@ func main() {
 	var publish func()
 	if *serve != "" {
 		srv = obs.NewServer()
-		var reg *obs.Registry
-		if meter != nil {
-			reg = meter.Registry()
-		}
-		publish = func() { srv.PublishTelemetry(eng.Now(), reg, sam, spanTr, fr) }
+		publish = func() { srv.PublishTelemetry(eng.Now(), meter.Registry(), sam, spanTr, fr) }
 		// Publish at every sample boundary, from the engine goroutine —
 		// handlers only ever read the published copies.
 		sam.OnSample = publish
@@ -209,6 +208,8 @@ func main() {
 		fmt.Printf("checkpoint written to %s (step %d)\n", *checkpointFile, eng.Now())
 	}
 
+	meter.Finish(eng)
+
 	snap := eng.Snap()
 	fmt.Printf("topology %s(%d): %d nodes, %d edges\n", *topo, *size, g.NumNodes(), g.NumEdges())
 	fmt.Printf("policy %s, (w=%d, r=%v) %s adversary, d<=%d, %d steps\n", pol.Name(), *w, rate, *advName, *maxLen, *steps)
@@ -225,7 +226,12 @@ func main() {
 		sam.PeakTotal(), snap.MaxQueueLen, g.EdgeName(snap.MaxQueueAt))
 	fmt.Printf("max per-buffer residence %d (floor(w*r) bound: %d)\n",
 		eng.MaxResidence(true), stability.ResidenceBound(*w, rate))
-	fmt.Printf("%s\n", lat.Stats())
+	if ls := meter.LatencySnapshot(); ls.Count == 0 {
+		fmt.Println("latency: no absorbed packets")
+	} else {
+		fmt.Printf("latency over %d packets: mean %.1f, p50<=%d, p90<=%d, p99<=%d, max %d\n",
+			ls.Count, ls.Mean(), ls.Quantile(0.50), ls.Quantile(0.90), ls.Quantile(0.99), ls.Max)
+	}
 	fmt.Printf("engine: %s\n", snap.Stats)
 	fmt.Printf("verdict: %v\n", stability.Classify(sam.Backlog(), 1.25))
 	fmt.Print(asciiPlot(sam.Backlog(), 64, 10))
@@ -240,8 +246,7 @@ func main() {
 			fmt.Println("(w,r) compliance: OK")
 		}
 	}
-	if meter != nil {
-		meter.Finish(eng)
+	if *metrics {
 		fmt.Println("metrics:")
 		if err := meter.Registry().Snapshot().WriteText(os.Stdout); err != nil {
 			die(err)
@@ -255,37 +260,17 @@ func main() {
 		}
 	}
 	if fr != nil {
-		f, err := os.Create(*trace)
-		if err != nil {
-			die(err)
-		}
-		werr := fr.DumpJSONL(f)
 		// The trace file carries the whole telemetry tail: flight events,
 		// then completed spans, then sampler series — all one JSONL
-		// schema, self-validated below.
-		if werr == nil && spanTr != nil {
-			werr = spanTr.DumpJSONL(f)
+		// schema, self-validated on write (the contract `make
+		// trace-smoke` relies on).
+		dumps := []func(io.Writer) error{fr.DumpJSONL}
+		if spanTr != nil {
+			dumps = append(dumps, spanTr.DumpJSONL)
 		}
-		if werr == nil {
-			werr = sam.DumpJSONL(f)
-		}
-		if werr != nil {
-			f.Close()
-			die(werr)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		// Self-check the dump against the JSONL schema — the contract
-		// `make trace-smoke` relies on.
-		f2, err := os.Open(*trace)
+		n, err := obs.WriteJSONLFile(*trace, append(dumps, sam.DumpJSONL)...)
 		if err != nil {
 			die(err)
-		}
-		n, verr := obs.ValidateJSONL(f2)
-		f2.Close()
-		if verr != nil {
-			die(fmt.Errorf("trace schema: %w", verr))
 		}
 		fmt.Printf("trace: %d events written to %s (%d recorded, %d overwritten), schema OK\n",
 			n, *trace, fr.Total(), fr.Overwritten())

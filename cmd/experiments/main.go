@@ -138,7 +138,7 @@ func main() {
 // writeHarnessTrace records the experiment lifecycle — one marker per
 // completed runner (in registry order), one failure event per panic or
 // failed table — in the flight-recorder JSONL schema, self-validated
-// after writing. Timestamps are cumulative elapsed milliseconds; the
+// on write. Timestamps are cumulative elapsed milliseconds; the
 // engines inside the runners are not traced here (use cmd/aqtsim
 // -trace for engine-level events).
 func writeHarnessTrace(path string, results []expt.Result) error {
@@ -158,25 +158,9 @@ func writeHarnessTrace(path string, results []expt.Result) error {
 			fr.RecordFailure(t, fmt.Sprintf("%s table FAILED", res.Runner.ID))
 		}
 	}
-	f, err := os.Create(path)
+	n, err := obs.WriteJSONLFile(path, fr.DumpJSONL)
 	if err != nil {
 		return err
-	}
-	if err := fr.DumpJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	f2, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f2.Close()
-	n, err := obs.ValidateJSONL(f2)
-	if err != nil {
-		return fmt.Errorf("trace schema: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d events written to %s, schema OK\n", n, path)
 	return nil

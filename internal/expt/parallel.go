@@ -2,12 +2,11 @@ package expt
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"aqt/internal/obs"
+	"aqt/internal/stability"
 )
 
 // Result couples a finished experiment with its runtime.
@@ -29,123 +28,37 @@ func RunAll(runners []Runner, q Quick, workers int) []Result {
 	return results
 }
 
-// RunAllTelemetry is RunAll with harness telemetry: onProgress (nil =
-// none) receives per-runner start/finish reports (the -progress status
-// line), and the returned Snapshot aggregates per-worker metrics —
-// each worker goroutine records into its own obs.Registry (runner
-// wall-clock, table row counts, failure/panic tallies) and the
-// goroutine-confined snapshots are merged after the pool drains, the
-// same ownership discipline the engines follow.
+// RunAllTelemetry is RunAll with harness telemetry: the runners fan
+// out through stability.SweepGridOpt, so onProgress (nil = none)
+// receives its per-runner start/finish reports (the -progress status
+// line). The returned Snapshot holds the harness metrics — runner
+// wall-clock, table row counts, failure/panic tallies — recorded from
+// the ordered results after the pool drains.
 func RunAllTelemetry(runners []Runner, q Quick, workers int, onProgress obs.ProgressFunc) ([]Result, obs.Snapshot) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	grid := stability.SweepGridOpt(runners, func(r Runner) Result { return runOne(r, q) }, workers, onProgress)
+	reg := obs.NewRegistry()
+	elapsed := reg.Histogram("expt.elapsed_ms")
+	rows := reg.Histogram("expt.table_rows")
+	runs := reg.Counter("expt.runs")
+	failed := reg.Counter("expt.failed")
+	panics := reg.Counter("expt.panics")
+	results := make([]Result, len(grid))
+	for i, g := range grid {
+		res := g.Value // runOne recovers its own panics, so g.Panic is empty
+		results[i] = res
+		runs.Inc()
+		elapsed.Observe(res.Elapsed.Milliseconds())
+		if res.Table != nil {
+			rows.Observe(int64(len(res.Table.Rows)))
+		}
+		if res.Table == nil || !res.Table.OK {
+			failed.Inc()
+		}
+		if res.Panic != "" {
+			panics.Inc()
+		}
 	}
-	if workers > len(runners) {
-		workers = len(runners)
-	}
-	type job struct {
-		idx int
-		r   Runner
-	}
-	jobs := make(chan job)
-	results := make([]Result, len(runners))
-	regs := make([]*obs.Registry, workers)
-	prog := newRunProgress(onProgress, len(runners))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		regs[w] = obs.NewRegistry()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reg := regs[w]
-			elapsed := reg.Histogram("expt.elapsed_ms")
-			rows := reg.Histogram("expt.table_rows")
-			runs := reg.Counter("expt.runs")
-			failed := reg.Counter("expt.failed")
-			panics := reg.Counter("expt.panics")
-			for j := range jobs {
-				prog.begin()
-				res := runOne(j.r, q)
-				results[j.idx] = res
-				runs.Inc()
-				elapsed.Observe(res.Elapsed.Milliseconds())
-				if res.Table != nil {
-					rows.Observe(int64(len(res.Table.Rows)))
-				}
-				if res.Table == nil || !res.Table.OK {
-					failed.Inc()
-				}
-				if res.Panic != "" {
-					panics.Inc()
-				}
-				prog.end(res.Elapsed)
-			}
-		}()
-	}
-	for i, r := range runners {
-		jobs <- job{i, r}
-	}
-	close(jobs)
-	wg.Wait()
-	snaps := make([]obs.Snapshot, len(regs))
-	for i, reg := range regs {
-		snaps[i] = reg.Snapshot()
-	}
-	return results, obs.MergeSnapshots(snaps...)
-}
-
-// runProgress mirrors stability's progress tracker for the experiment
-// pool (kept local: expt must not depend on internal/stability).
-type runProgress struct {
-	mu       sync.Mutex
-	fn       obs.ProgressFunc
-	start    time.Time
-	total    int
-	done     int
-	inFlight int
-	slowest  time.Duration
-}
-
-func newRunProgress(fn obs.ProgressFunc, total int) *runProgress {
-	if fn == nil {
-		return nil
-	}
-	return &runProgress{fn: fn, start: time.Now(), total: total}
-}
-
-func (p *runProgress) begin() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.inFlight++
-	p.emit()
-	p.mu.Unlock()
-}
-
-func (p *runProgress) end(d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.inFlight--
-	p.done++
-	if d > p.slowest {
-		p.slowest = d
-	}
-	p.emit()
-	p.mu.Unlock()
-}
-
-func (p *runProgress) emit() {
-	p.fn(obs.SweepProgress{
-		Done:         p.done,
-		Total:        p.total,
-		InFlight:     p.inFlight,
-		Elapsed:      time.Since(p.start),
-		SlowestProbe: p.slowest,
-	})
+	return results, reg.Snapshot()
 }
 
 func runOne(r Runner, q Quick) (res Result) {

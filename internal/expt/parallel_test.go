@@ -2,8 +2,11 @@ package expt
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"aqt/internal/obs"
 )
 
 func fakeRunner(id string, ok bool, sleep time.Duration) Runner {
@@ -112,5 +115,47 @@ func TestRunAllActuallyParallel(t *testing.T) {
 	RunAll(rs, true, 4)
 	if elapsed := time.Since(start); elapsed > 120*time.Millisecond {
 		t.Errorf("parallel run took %v; expected ~40ms", elapsed)
+	}
+}
+
+// TestRunAllTelemetry pins the harness registry and the progress
+// stream over a runner set with one failing and one panicking runner.
+func TestRunAllTelemetry(t *testing.T) {
+	rs := []Runner{
+		fakeRunner("X1", true, time.Millisecond),
+		fakeRunner("X2", false, 0),
+		{ID: "XP", Name: "panicker", Run: func(Quick) *Table { panic("boom") }},
+		fakeRunner("X3", true, 0),
+	}
+	var (
+		mu    sync.Mutex
+		last  obs.SweepProgress
+		count int
+	)
+	results, snap := RunAllTelemetry(rs, true, 2, func(p obs.SweepProgress) {
+		mu.Lock()
+		defer mu.Unlock()
+		if p.Done+p.InFlight > p.Total {
+			t.Errorf("report %+v: done+inFlight exceeds total", p)
+		}
+		last = p
+		count++
+	})
+	if len(results) != len(rs) {
+		t.Fatalf("%d results, want %d", len(results), len(rs))
+	}
+	for name, want := range map[string]int64{"expt.runs": 4, "expt.failed": 2, "expt.panics": 1} {
+		if got, ok := snap.Counter(name); !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if h, ok := snap.Histogram("expt.elapsed_ms"); !ok || h.Count != 4 {
+		t.Errorf("expt.elapsed_ms count = %d (present %v), want 4", h.Count, ok)
+	}
+	if count != 2*len(rs) {
+		t.Errorf("%d progress reports, want one start and one finish per runner (%d)", count, 2*len(rs))
+	}
+	if last.Done != last.Total || last.Total != len(rs) || last.InFlight != 0 {
+		t.Errorf("final progress %+v, want Done == Total == %d and InFlight == 0", last, len(rs))
 	}
 }

@@ -2,6 +2,9 @@ package obs_test
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -126,5 +129,44 @@ func TestValidateJSONLRejectsBadLines(t *testing.T) {
 		if _, err := obs.ValidateJSONL(strings.NewReader(tc.line)); err == nil {
 			t.Errorf("%s: ValidateJSONL accepted %q", tc.name, tc.line)
 		}
+	}
+}
+
+// TestWriteJSONLFile: the dumps land in the file in order and are
+// counted; a dump that breaks the schema is an error, with the file
+// kept on disk for inspection.
+func TestWriteJSONLFile(t *testing.T) {
+	dir := t.TempDir()
+	fr := obs.NewFlightRecorder(8)
+	fr.Mark(1, "first")
+	fr.Mark(2, "second")
+	tail := func(w io.Writer) error {
+		_, err := io.WriteString(w, `{"t":3,"kind":"sample","label":"backlog","v":0}`+"\n")
+		return err
+	}
+	path := filepath.Join(dir, "ok.jsonl")
+	n, err := obs.WriteJSONLFile(path, fr.DumpJSONL, tail)
+	if err != nil || n != 3 {
+		t.Fatalf("WriteJSONLFile = %d, %v; want 3, nil", n, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 3 ||
+		!strings.Contains(lines[0], "first") || !strings.Contains(lines[2], `"sample"`) {
+		t.Errorf("file content out of order:\n%s", data)
+	}
+
+	bad := filepath.Join(dir, "bad.jsonl")
+	broken := func(w io.Writer) error {
+		_, err := io.WriteString(w, `{"t":1,"kind":"teleport"}`+"\n")
+		return err
+	}
+	if _, err := obs.WriteJSONLFile(bad, fr.DumpJSONL, broken); err == nil || !strings.Contains(err.Error(), "trace schema") {
+		t.Errorf("schema break: error %v, want a trace schema error", err)
+	}
+	if _, err := os.Stat(bad); err != nil {
+		t.Errorf("broken trace not kept on disk: %v", err)
 	}
 }

@@ -220,7 +220,11 @@ func (h HistogramSnapshot) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q * float64(h.Count))
+	// Nearest rank: truncating q·count would land one observation low
+	// (p50 of {1, 100, 100} would report 1). The epsilon absorbs float
+	// error like 0.9*10 = 9.000000000000002, which would otherwise round
+	// a whole rank up.
+	rank := int64(math.Ceil(q*float64(h.Count) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

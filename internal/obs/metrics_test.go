@@ -43,6 +43,51 @@ func TestHistogramQuantileClampsToMax(t *testing.T) {
 	}
 }
 
+// TestQuantileNearestRank pins the nearest-rank rule, ceil(q·count),
+// at bucket resolution. Truncating q·count lands one observation low:
+// p50 of {1, 100, 100} and p99.5 of 99×1 + 1×1000 both reported 1.
+func TestQuantileNearestRank(t *testing.T) {
+	snap := func(vals ...int64) obs.HistogramSnapshot {
+		h := obs.NewRegistry().Histogram("h")
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		return h.Snapshot()
+	}
+	repeat := func(v int64, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	seq := make([]int64, 100) // 1..100
+	for i := range seq {
+		seq[i] = int64(i + 1)
+	}
+	cases := []struct {
+		name string
+		vals []int64
+		q    float64
+		want int64
+	}{
+		{"p50 of 1,100,100", []int64{1, 100, 100}, 0.5, 100},
+		{"p99.5 of 99x1 + 1000", append(repeat(1, 99), 1000), 0.995, 1000},
+		// 0.9*10 = 9.000000000000002 must stay rank 9, not round up.
+		{"p90 of 9x1 + 1000", append(repeat(1, 9), 1000), 0.9, 1},
+		{"single", []int64{7}, 0.5, 7},
+		{"pair p50", []int64{1, 9}, 0.5, 1},
+		{"pair p51", []int64{1, 9}, 0.51, 9},
+		{"hundred p50", seq, 0.5, 63},  // rank 50 = 50, bucket [32,64)
+		{"hundred p90", seq, 0.9, 100}, // bucket [64,128) clamped to Max
+	}
+	for _, c := range cases {
+		if got := snap(c.vals...).Quantile(c.q); got != c.want {
+			t.Errorf("%s: Quantile(%v) = %d, want %d", c.name, c.q, got, c.want)
+		}
+	}
+}
+
 func TestHistogramNegativeClampsToZero(t *testing.T) {
 	h := obs.NewRegistry().Histogram("h")
 	h.Observe(-7)

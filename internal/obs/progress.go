@@ -8,8 +8,9 @@ import (
 )
 
 // SweepProgress is one progress report from a parallel probe layer
-// (stability.SweepGrid, stability.ParallelThresholdSearch,
-// expt.RunAll). Emitted on every probe start and finish.
+// (stability.SweepGridOpt, which also runs expt.RunAllTelemetry's
+// experiments, and stability.ParallelThresholdSearchOpt). Emitted on
+// every probe start and finish.
 type SweepProgress struct {
 	// Done counts finished probes; Total is the number of probes the
 	// sweep will run (for a threshold search, an upper estimate that is

@@ -2,10 +2,33 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
+
+// WriteJSONLFile writes the dumps to path in order — the cmd -trace
+// files — and validates the written bytes against the JSONL schema,
+// returning the number of events. A schema break is reported as an
+// error; the file stays on disk for inspection.
+func WriteJSONLFile(path string, dumps ...func(io.Writer) error) (int, error) {
+	var buf bytes.Buffer
+	for _, dump := range dumps {
+		if err := dump(&buf); err != nil {
+			return 0, err
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return 0, err
+	}
+	n, err := ValidateJSONL(&buf)
+	if err != nil {
+		return 0, fmt.Errorf("trace schema: %w", err)
+	}
+	return n, nil
+}
 
 // ValidateJSONL checks that r is a well-formed telemetry dump: every
 // non-empty line is a JSON object with an integer "t" >= 0 and a known

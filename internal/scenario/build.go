@@ -61,8 +61,8 @@ type Built struct {
 	Engine *sim.Engine
 
 	// Observers requested by the run block (nil when absent). The
-	// "recorder" and "sampler" observer names both build Sampler.
-	Latency *sim.LatencyObserver
+	// "recorder" and "sampler" observer names both build Sampler;
+	// "latency" and "meter" both build Meter.
 	Window  *adversary.WindowValidator
 	Meter   *obs.Meter
 	Sampler *obs.Sampler
@@ -110,15 +110,14 @@ func build(c ctx, s *Spec) (*Built, error) {
 	b := &Built{Spec: s, Graph: comp.g, Engine: e}
 	for _, name := range s.Run.Observers {
 		switch name {
-		case ObsLatency:
-			b.Latency = &sim.LatencyObserver{}
-			e.AddObserver(b.Latency)
 		case ObsWindow:
 			b.Window = adversary.NewWindowValidator(comp.winW, comp.winRate)
 			e.AddObserver(b.Window)
-		case ObsMeter:
-			b.Meter = obs.NewMeter(nil)
-			e.AddObserver(b.Meter)
+		case ObsLatency, ObsMeter:
+			if b.Meter == nil {
+				b.Meter = obs.NewMeter(nil)
+				e.AddObserver(b.Meter)
+			}
 		}
 	}
 	// Telemetry observers attach in a second pass: the sampler links to

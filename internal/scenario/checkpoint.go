@@ -1,7 +1,6 @@
 // Scenario-level checkpoint/restore: one document wrapping the engine
 // checkpoint together with the states of every observer the spec
-// configured (latency, window validator, meter, sampler, span tracer).
-// The spec
+// configured (window validator, meter, sampler, span tracer). The spec
 // file is the single source of truth for everything a checkpoint does
 // NOT carry — topology, policy table, buffer config, adversary
 // program — so restore means: Build the same spec fresh, then apply
@@ -25,8 +24,10 @@ import (
 
 // CheckpointVersion is the scenario checkpoint document version.
 // Version 2 dropped the "recorder" field (that observer now checkpoints
-// as "sampler"); version 1 documents are rejected.
-const CheckpointVersion = 2
+// as "sampler"); version 3 dropped the per-packet "latency" list and
+// its "has_latency" flag (latency now lives in the meter's fixed-size
+// histogram). Older documents are rejected.
+const CheckpointVersion = 3
 
 // Checkpoint is a paused scenario run: the engine state plus every
 // configured observer's state. Observer fields are present exactly
@@ -35,28 +36,10 @@ type Checkpoint struct {
 	Version  int                  `json:"version"`
 	Scenario string               `json:"scenario"`
 	Engine   *sim.Checkpoint      `json:"engine"`
-	Latency  []int64              `json:"latency,omitempty"`
 	Window   adversary.UsageState `json:"window,omitempty"`
 	Meter    *obs.MeterState      `json:"meter,omitempty"`
 	Sampler  *obs.SamplerState    `json:"sampler,omitempty"`
 	Spans    *obs.SpanState       `json:"spans,omitempty"`
-
-	hasLatency bool // tracked explicitly: an empty series omits the field
-}
-
-// checkpointDoc is the wire shape: hasLatency is reified as a flag so
-// "latency observer configured, nothing absorbed yet" survives the
-// round trip distinguishably from "no latency observer".
-type checkpointDoc struct {
-	Version    int                  `json:"version"`
-	Scenario   string               `json:"scenario"`
-	Engine     *sim.Checkpoint      `json:"engine"`
-	HasLatency bool                 `json:"has_latency,omitempty"`
-	Latency    []int64              `json:"latency,omitempty"`
-	Window     adversary.UsageState `json:"window,omitempty"`
-	Meter      *obs.MeterState      `json:"meter,omitempty"`
-	Sampler    *obs.SamplerState    `json:"sampler,omitempty"`
-	Spans      *obs.SpanState       `json:"spans,omitempty"`
 }
 
 // Checkpoint extracts the built scenario's complete run state. The
@@ -71,10 +54,6 @@ func (b *Built) Checkpoint() (*Checkpoint, error) {
 		Version:  CheckpointVersion,
 		Scenario: b.Spec.Name,
 		Engine:   ec,
-	}
-	if b.Latency != nil {
-		cp.hasLatency = true
-		cp.Latency = b.Latency.CheckpointState()
 	}
 	if b.Window != nil {
 		cp.Window = b.Window.UsageState()
@@ -97,18 +76,7 @@ func (b *Built) Checkpoint() (*Checkpoint, error) {
 // Encode renders the checkpoint as deterministic indented JSON with a
 // trailing newline (struct fields marshal in declaration order).
 func (cp *Checkpoint) Encode() []byte {
-	doc := checkpointDoc{
-		Version:    cp.Version,
-		Scenario:   cp.Scenario,
-		Engine:     cp.Engine,
-		HasLatency: cp.hasLatency,
-		Latency:    cp.Latency,
-		Window:     cp.Window,
-		Meter:      cp.Meter,
-		Sampler:    cp.Sampler,
-		Spans:      cp.Spans,
-	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
+	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
 		panic("scenario: checkpoint encode: " + err.Error())
 	}
@@ -125,7 +93,7 @@ func DecodeCheckpoint(file string, data []byte) (*Checkpoint, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var doc checkpointDoc
+	var doc Checkpoint
 	if err := dec.Decode(&doc); err != nil {
 		return nil, cerr("", "offset %d: %v", dec.InputOffset(), err)
 	}
@@ -147,25 +115,7 @@ func DecodeCheckpoint(file string, data []byte) (*Checkpoint, error) {
 		}
 		return nil, cerr("engine", "%v", err)
 	}
-	if len(doc.Latency) > 0 && !doc.HasLatency {
-		return nil, cerr("latency", "latency series present without has_latency")
-	}
-	for i, v := range doc.Latency {
-		if v < 0 {
-			return nil, cerr(fmt.Sprintf("latency[%d]", i), "negative latency %d", v)
-		}
-	}
-	return &Checkpoint{
-		Version:    doc.Version,
-		Scenario:   doc.Scenario,
-		Engine:     doc.Engine,
-		Latency:    doc.Latency,
-		Window:     doc.Window,
-		Meter:      doc.Meter,
-		Sampler:    doc.Sampler,
-		Spans:      doc.Spans,
-		hasLatency: doc.HasLatency,
-	}, nil
+	return &doc, nil
 }
 
 // Restore applies a checkpoint to b, which must be freshly built (not
@@ -180,10 +130,6 @@ func (b *Built) Restore(cp *Checkpoint) error {
 	}
 	if cp.Engine == nil {
 		return fmt.Errorf("scenario checkpoint: missing engine state")
-	}
-	if cp.hasLatency != (b.Latency != nil) {
-		return fmt.Errorf("scenario checkpoint: latency state present=%v but spec configures latency=%v",
-			cp.hasLatency, b.Latency != nil)
 	}
 	if len(cp.Window) > 0 && b.Window == nil {
 		return fmt.Errorf("scenario checkpoint: window state present but spec configures no window validator")
@@ -202,9 +148,6 @@ func (b *Built) Restore(cp *Checkpoint) error {
 	}
 	if err := b.Engine.Restore(cp.Engine); err != nil {
 		return err
-	}
-	if b.Latency != nil {
-		b.Latency.RestoreState(cp.Latency)
 	}
 	if b.Window != nil {
 		if err := b.Window.RestoreUsage(cp.Window); err != nil {

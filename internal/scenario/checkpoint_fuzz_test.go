@@ -58,8 +58,11 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"version": 1, "scenario": "x"}`))
 	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1}}`))
-	f.Add([]byte(`{"version": 2, "scenario": "x", "engine": {"version": 1, "num_nodes": 2,
+	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1, "num_nodes": 2,
   "num_edges": 1, "policy": "FIFO", "now": 5, "started": true, "next_id": -1}}`))
+	// Retired version-2 shapes: the per-packet latency list and its flag.
+	f.Add([]byte(`{"version": 2, "scenario": "x", "engine": {"version": 1}, "has_latency": true, "latency": [3, 4]}`))
+	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1}, "latency": [-1]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint("fuzz.ckpt", data)

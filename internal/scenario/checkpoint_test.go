@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -51,12 +52,6 @@ func runSegment(t *testing.T, b *Built, mode string, n int64) {
 // state between the reference run and the resumed run.
 func requireSameObservers(t *testing.T, label string, ref, got *Built) {
 	t.Helper()
-	if ref.Latency != nil {
-		if !reflect.DeepEqual(ref.Latency.CheckpointState(), got.Latency.CheckpointState()) {
-			t.Errorf("%s: latency series differs (ref %d samples, got %d)",
-				label, ref.Latency.Count(), got.Latency.Count())
-		}
-	}
 	if ref.Window != nil {
 		if !reflect.DeepEqual(ref.Window.UsageState(), got.Window.UsageState()) {
 			t.Errorf("%s: window usage differs", label)
@@ -372,4 +367,83 @@ func parseSpecFile(t *testing.T, path string) *Spec {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestLatencyAliasBuildsOneMeter: "latency" is an alias of "meter", so
+// listing both builds and attaches a single meter — its registry then
+// matches a "meter"-only build exactly, with one latency observation
+// per absorbed packet and one backlog observation per step.
+func TestLatencyAliasBuildsOneMeter(t *testing.T) {
+	base := parseSpecFile(t, filepath.Join("..", "..", "scenarios", "quickstart.json"))
+	build := func(observers ...string) *Built {
+		s := *base
+		s.Run.Observers = observers
+		s.Run.Mode = ModeStep
+		s.Checks = nil
+		b, err := Build(&s)
+		if err != nil {
+			t.Fatalf("Build %v: %v", observers, err)
+		}
+		b.Run()
+		return b
+	}
+	both, only := build(ObsLatency, ObsMeter), build(ObsMeter)
+	if both.Meter == nil {
+		t.Fatal(`["latency", "meter"] built no meter`)
+	}
+	ls := both.Meter.LatencySnapshot()
+	if ls.Count != both.Engine.Absorbed() || ls.Count == 0 {
+		t.Errorf("latency count %d, want one per absorbed packet (%d)", ls.Count, both.Engine.Absorbed())
+	}
+	qs, _ := both.Meter.Registry().Snapshot().Histogram("sim.queue_total")
+	if qs.Count != both.Engine.Now() {
+		t.Errorf("sim.queue_total count %d, want one per step (%d)", qs.Count, both.Engine.Now())
+	}
+	if rb, ro := both.Meter.Registry().State(), only.Meter.Registry().State(); !reflect.DeepEqual(rb, ro) {
+		t.Errorf(`["latency", "meter"] registry differs from ["meter"]:\nboth: %+v\nonly: %+v`, rb, ro)
+	}
+}
+
+// TestCheckpointRejectsRetiredLatency: version 3 dropped the
+// per-packet "latency" list and its "has_latency" flag. A version-2
+// document, or a current one still carrying a latency field, is
+// refused with a positioned error — never a panic.
+func TestCheckpointRejectsRetiredLatency(t *testing.T) {
+	base := parseSpecFile(t, filepath.Join("..", "..", "scenarios", "quickstart.json"))
+	a := buildFresh(t, base)
+	a.Engine.Run(100)
+	cp, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := cp.Encode()
+	v2 := bytes.Replace(cur, []byte(`"version": 3,`), []byte(`"version": 2,`), 1)
+	if bytes.Equal(v2, cur) {
+		t.Fatal("fixture: version field not found")
+	}
+	if !strings.Contains(string(cur), `"meter"`) {
+		t.Fatal(`fixture: the "latency" observer should checkpoint as "meter"`)
+	}
+	v2Latency := bytes.Replace(v2, []byte(`  "meter"`), []byte(`  "has_latency": true,
+  "latency": [3, 4],
+  "meter"`), 1)
+	for name, doc := range map[string][]byte{
+		"version 2":              v2,
+		"version 2 with latency": v2Latency,
+		"version 3 with latency": bytes.Replace(cur, []byte(`  "meter"`), []byte(`  "latency": [3, 4],
+  "meter"`), 1),
+		"version 3 with has_latency": bytes.Replace(cur, []byte(`  "meter"`), []byte(`  "has_latency": true,
+  "meter"`), 1),
+	} {
+		_, err := DecodeCheckpoint("retired.ckpt", doc)
+		var se *Error
+		if !errors.As(err, &se) {
+			t.Errorf("%s: error %v, want a positioned *Error", name, err)
+		}
+	}
+	stale := *cp
+	stale.Version = 2
+	if err := buildFresh(t, base).Restore(&stale); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("Restore of a version-2 checkpoint: error %v, want an unsupported-version error", err)
+	}
 }

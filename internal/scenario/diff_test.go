@@ -28,6 +28,10 @@ func allEmitted() []Emitted {
 func TestDifferentialMatrix(t *testing.T) {
 	for _, em := range allEmitted() {
 		em := em
+		// The parallel mode subtests share em.Hand read-only, but the
+		// first Snap writes the engine's lazily cached argmax edge;
+		// settle it here so they do not race on it.
+		em.Hand.Snap()
 		for _, mode := range []string{ModeStep, ModeQuiet, ModeLeap} {
 			mode := mode
 			t.Run(em.ID+"/"+mode, func(t *testing.T) {

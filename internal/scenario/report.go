@@ -32,9 +32,9 @@ func (b *Built) WriteReport(w io.Writer, out Outcome) {
 		fmt.Fprintf(w, "; leaped %d windows / %d steps", out.Leaps.Windows, out.Leaps.Steps)
 	}
 	fmt.Fprintln(w)
-	if b.Latency != nil {
-		st := b.Latency.Stats()
-		fmt.Fprintf(w, "  latency: n=%d min=%.0f max=%.0f mean=%.2f\n", b.Latency.Count(), st.Min, st.Max, st.Mean)
+	if b.Meter != nil {
+		ls := b.Meter.LatencySnapshot()
+		fmt.Fprintf(w, "  latency: n=%d min=%d max=%d mean=%.2f\n", ls.Count, ls.Min, ls.Max, ls.Mean())
 	}
 	if b.Sampler != nil {
 		fmt.Fprintf(w, "  backlog peak %d\n", b.Sampler.PeakTotal())

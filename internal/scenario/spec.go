@@ -226,10 +226,11 @@ type SeedSpec struct {
 // Observers: "sampler" (the obs.Sampler time series at ~512 samples
 // per run plus the exact peak backlog; adds latency-quantile series
 // when "meter" is also configured), "recorder" (an alias of "sampler"
-// kept for older specs; listing both builds one sampler), "latency"
-// (end-to-end latency stats), "window" (the (w,r) WindowValidator —
-// requires Window), "meter" (the obs metrics registry), "spans"
-// (per-packet causal spans with per-edge residence histograms).
+// kept for older specs; listing both builds one sampler), "meter" (the
+// obs metrics registry, whose latency histogram feeds the report's
+// latency line), "latency" (an alias of "meter"; listing both builds
+// one meter), "window" (the (w,r) WindowValidator — requires Window),
+// "spans" (per-packet causal spans with per-edge residence histograms).
 type RunSpec struct {
 	Steps     int64       `json:"steps"`
 	Mode      string      `json:"mode,omitempty"`

@@ -39,9 +39,10 @@
 // one OnLeap call per window, fired BEFORE the engine state mutates,
 // so they can reconstruct their per-step observations from the
 // pre-window state in closed form (obs.Sampler and obs.Meter do).
-// Observers that cannot reconstruct (e.g. LatencyObserver needs each
-// absorption) simply refuse the kind and the engine falls back to
-// stepping — correctness never depends on acceptance.
+// Observers that cannot reconstruct (e.g. obs.Meter's latency
+// histogram needs each absorption, so it refuses drains) simply refuse
+// the kind and the engine falls back to stepping — correctness never
+// depends on acceptance.
 package sim
 
 import (

@@ -242,31 +242,6 @@ func TestLeapRecorderEquivalence(t *testing.T) {
 	}
 }
 
-// TestLeapLatencyObserverEquivalence: LatencyObserver refuses drain
-// windows (it needs each absorption), so attaching it forces stepped
-// drains — and the per-packet latency stats must match the fully
-// stepped run exactly, with idle windows still leaped.
-func TestLeapLatencyObserverEquivalence(t *testing.T) {
-	sc := leapScenarios()[2] // burst-final: drains and long idle gaps
-	leap, step := sc.build(policy.FIFO{}), sc.build(policy.FIFO{})
-	ll, sl := &sim.LatencyObserver{}, &sim.LatencyObserver{}
-	leap.AddObserver(ll)
-	step.AddObserver(sl)
-	leap.RunLeap(sc.steps)
-	step.Run(sc.steps)
-	requireSameExecution(t, leap, step)
-	if ll.Stats() != sl.Stats() {
-		t.Errorf("latency stats: leap %+v != step %+v", ll.Stats(), sl.Stats())
-	}
-	ls := leap.Leaps()
-	if ls.Drain != 0 {
-		t.Errorf("drain windows leaped past a refusing LatencyObserver: %+v", ls)
-	}
-	if ls.Idle == 0 {
-		t.Errorf("idle windows should still leap with a LatencyObserver attached: %+v", ls)
-	}
-}
-
 // leapLogger accepts every window and records the OnLeap callbacks,
 // checking the documented pre-mutation contract: at OnLeap time the
 // engine clock still reads info.From.

@@ -1,8 +1,8 @@
 // Engine-observer coverage through the obs package: the flight
-// recorder on the event hooks (inject, reroute, keep-latest capacity)
-// and the Sampler on the step hook (stride, exact peak between
-// samples, bounded million-step series). External package: obs imports
-// sim.
+// recorder on the event hooks (inject, reroute, keep-latest capacity),
+// the Sampler on the step hook (stride, exact peak between samples,
+// bounded million-step series) and the Meter's end-to-end latency on
+// the absorption hook. External package: obs imports sim.
 package sim_test
 
 import (
@@ -194,5 +194,96 @@ func TestRecorderMaxSamplesMillionSteps(t *testing.T) {
 	// The series still covers the whole run.
 	if last := pts[len(pts)-1].T; last < steps-eff {
 		t.Errorf("last retained point at t=%d, run ended at %d", last, steps)
+	}
+}
+
+func TestAbsorptionObserverHook(t *testing.T) {
+	g := graph.Line(2)
+	var seen []packet.ID
+	hook := absorbFunc(func(_ int64, p *packet.Packet) { seen = append(seen, p.ID) })
+	e := sim.New(g, policy.FIFO{}, nil)
+	e.AddObserver(hook)
+	a := e.Seed(packet.InjNamed(g, "e1", "e2"))
+	b := e.Seed(packet.InjNamed(g, "e1"))
+	e.Run(4)
+	if len(seen) != 2 {
+		t.Fatalf("absorptions seen: %d", len(seen))
+	}
+	// b (single hop, queued second) is absorbed at step 2; a at step 3.
+	if seen[0] != b.ID || seen[1] != a.ID {
+		t.Errorf("absorption order = %v", seen)
+	}
+}
+
+// absorbFunc adapts a function to Observer + AbsorptionObserver.
+type absorbFunc func(t int64, p *packet.Packet)
+
+func (absorbFunc) OnStep(*sim.Engine) {}
+
+func (f absorbFunc) OnAbsorb(t int64, p *packet.Packet) { f(t, p) }
+
+// TestLatencyObserverBasics: the Meter, as an absorption observer,
+// records absorption time minus injection time for every absorbed
+// packet, exactly in count/min/max/mean.
+func TestLatencyObserverBasics(t *testing.T) {
+	g := graph.Line(3)
+	m := obs.NewMeter(nil)
+	e := sim.New(g, policy.FIFO{}, nil)
+	e.AddObserver(m)
+	// Two packets over 3 hops, seeded at t=0: the first is absorbed at
+	// step 3 (latency 3), the second queues one step behind at every
+	// hop and is absorbed at step 4 (latency 4).
+	e.SeedN(2, packet.InjNamed(g, "e1", "e2", "e3"))
+	e.Run(6)
+	ls := m.LatencySnapshot()
+	if ls.Count != 2 || ls.Min != 3 || ls.Max != 4 || ls.Mean() != 3.5 {
+		t.Errorf("latency count/min/max/mean = %d/%d/%d/%v, want 2/3/4/3.5", ls.Count, ls.Min, ls.Max, ls.Mean())
+	}
+	if p50 := ls.Quantile(0.5); p50 != 3 && p50 != 4 {
+		t.Errorf("p50 = %d, want 3 or 4", p50)
+	}
+}
+
+// TestLatencyObserverEmpty: before anything is absorbed the Meter
+// reports an empty latency distribution with zero mean and quantiles.
+func TestLatencyObserverEmpty(t *testing.T) {
+	g := graph.Line(3)
+	m := obs.NewMeter(nil)
+	e := sim.New(g, policy.FIFO{}, nil)
+	e.AddObserver(m)
+	if ls := m.LatencySnapshot(); ls.Count != 0 || ls.Mean() != 0 || ls.Quantile(0.5) != 0 {
+		t.Errorf("empty latency snapshot = %+v", ls)
+	}
+	// One packet seeded but not yet through its three hops.
+	e.SeedN(1, packet.InjNamed(g, "e1", "e2", "e3"))
+	e.Run(2)
+	if ls := m.LatencySnapshot(); ls.Count != 0 {
+		t.Errorf("latency count after 2 steps = %d, want 0", ls.Count)
+	}
+}
+
+// TestLatencyPercentiles: ten packets through one edge have latencies
+// 1..10; the Meter's quantiles are nearest-rank bucket upper bounds,
+// clamped to the exact max.
+func TestLatencyPercentiles(t *testing.T) {
+	g := graph.Line(1)
+	m := obs.NewMeter(nil)
+	e := sim.New(g, policy.FIFO{}, nil)
+	e.AddObserver(m)
+	e.SeedN(10, packet.InjNamed(g, "e1"))
+	e.Run(12)
+	ls := m.LatencySnapshot()
+	if ls.Count != 10 || ls.Min != 1 || ls.Max != 10 {
+		t.Fatalf("latency count/min/max = %d/%d/%d, want 10/1/10", ls.Count, ls.Min, ls.Max)
+	}
+	// Rank 5 is latency 5, in bucket [4,8); ranks 9 and 10 fall in
+	// [8,16), clamped to the max 10.
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.50, 7}, {0.90, 10}, {0.99, 10}} {
+		if got := ls.Quantile(c.q); got != c.want {
+			t.Errorf("p%v = %d, want %d", 100*c.q, got, c.want)
+		}
 	}
 }

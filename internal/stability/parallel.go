@@ -31,10 +31,10 @@ type Point struct {
 // String formats the point for sweep reports.
 func (p Point) String() string { return fmt.Sprintf("(r=%v, n=%d)", p.Rate, p.Depth) }
 
-// GridResult couples one probe point with its outcome. Panic mirrors
-// expt.RunAll's recovered-panic contract: a probe that crashes reports
-// the panic message in its own result instead of taking the sweep (or
-// the process) down, and never counts as a verdict.
+// GridResult couples one probe point with its outcome. Panic holds a
+// recovered panic: a probe that crashes reports the message in its
+// own result instead of taking the sweep (or the process) down, and
+// never counts as a verdict.
 type GridResult[P, V any] struct {
 	Point P
 	Value V
