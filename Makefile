@@ -124,6 +124,8 @@ telemetry-smoke:
 # any later target it is a prefix of.
 fuzz:
 	$(GO) test -fuzz '^FuzzRandomWRWindow$$' -fuzztime 30s ./internal/adversary
+	$(GO) test -fuzz '^FuzzSharedEdge$$' -fuzztime 30s ./internal/adversary
+	$(GO) test -fuzz '^FuzzRouteChecks$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz '^FuzzKeyedHeapAgreement$$' -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz '^FuzzDropPolicy$$' -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz '^FuzzScenarioLoad$$' -fuzztime 30s ./internal/scenario

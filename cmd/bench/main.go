@@ -25,7 +25,11 @@
 // a multicore machine), and the leap-mode pairs (StepLeap/Burst: a
 // periodic burst drain run stepped vs. leaped; RunLeapE13: a Lemma 3.6
 // pump with a long quiet tail, the long-horizon regime RunLeap exists
-// for — the leap entry must beat its step twin by >= 10x).
+// for — the leap entry must beat its step twin by >= 10x), and the
+// Layer/ entries, which time one layer of the Lemma 3.6 pump on its own
+// (Layer/Inject/Script: one Script.Inject; Layer/Reroute/ExtendBatch/
+// Geps: one Rerouter.ExtendBatch over a 256-packet buffer). Progress
+// lines on stderr give ns/op, B/op and allocs/op.
 //
 // Every entry is measured -count times (default 5) and the median run
 // (by ns/op) is recorded, so a single noisy run on a loaded machine
@@ -116,8 +120,8 @@ func main() {
 	for _, sp := range specs() {
 		med := median(sp, *count)
 		rep.Entries = append(rep.Entries, med)
-		fmt.Fprintf(os.Stderr, "%-24s %10.0f ns/op %6d allocs/op\n",
-			med.Name, med.NsPerOp, med.AllocsPerOp)
+		fmt.Fprintf(os.Stderr, "%-24s %10.0f ns/op %8d B/op %6d allocs/op\n",
+			med.Name, med.NsPerOp, med.BytesPerOp, med.AllocsPerOp)
 	}
 
 	path := *out
@@ -596,8 +600,74 @@ func specs() []benchSpec {
 		})
 	}
 
+	// The per-layer entries of the Lemma 3.6 pump's injection and
+	// reroute path, on the depth-10 G_ε chain whose 12-edge LongRoute
+	// the pumps inject on. Layer/Inject/Script: one op is one
+	// steady-state Script.Inject of two paced streams, the pump's
+	// fresh-packet and short-packet shapes. Layer/Reroute/ExtendBatch:
+	// one op is one Rerouter.ExtendBatch over 256 packets queued at
+	// gadget 1's ingress, extending each by gadget 2's e-path and egress
+	// as PumpPhase does — the Lemma 3.3 precondition checks, the route
+	// builds and the rerouter's bookkeeping. Each ExtendBatch op starts
+	// from a fresh engine seeded off the clock, since a second extension
+	// by the same edges would no longer be new to P(t).
+	out = append(out, benchSpec{
+		name: "Layer/Inject/Script",
+		run: func() (testing.BenchmarkResult, sim.StepStats) {
+			res := testing.Benchmark(func(b *testing.B) {
+				c := gadget.NewChain(10, 2, false)
+				s := adversary.NewScript(
+					adversary.Stream{Name: "fresh", Start: 1, Rate: rational.FromInt(1), Budget: -1, Route: c.LongRoute(1)},
+					adversary.Stream{Name: "short", Start: 1, Rate: rational.New(3, 4), Budget: -1, Route: c.EPath(1)[:1]},
+				)
+				eng := sim.New(c.G, policy.FIFO{}, s)
+				eng.Run(256)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					injectSink = s.Inject(eng)
+				}
+			})
+			return res, sim.StepStats{}
+		},
+	})
+	out = append(out, benchSpec{
+		name: "Layer/Reroute/ExtendBatch/Geps",
+		run: func() (testing.BenchmarkResult, sim.StepStats) {
+			const batch = 256
+			c := gadget.NewChain(10, 2, false)
+			ext := append(append([]graph.EdgeID{}, c.EPath(2)...), c.Egress(2))
+			extFn := func(*packet.Packet) []graph.EdgeID { return ext }
+			pkts := make([]*packet.Packet, 0, batch)
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					eng := sim.New(c.G, policy.FIFO{}, nil)
+					rr := adversary.NewRerouter(rational.New(3, 4))
+					eng.AddObserver(rr)
+					eng.SeedN(batch, packet.Inj(c.LongRoute(1)...))
+					pkts = pkts[:0]
+					eng.Queue(c.Ingress(1)).Each(func(p *packet.Packet) bool {
+						pkts = append(pkts, p)
+						return true
+					})
+					b.StartTimer()
+					if err := rr.ExtendBatch(eng, pkts, extFn); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			return res, sim.StepStats{}
+		},
+	})
+
 	return out
 }
+
+// injectSink keeps the Layer/Inject/Script calls from being optimized
+// away.
+var injectSink []packet.Injection
 
 // sweepGridPoints is the 7-point rate grid of the SweepParallel pair:
 // r = 0.5 .. 0.8 at depth 6, the cmd/sweep default shape.

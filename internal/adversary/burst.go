@@ -43,7 +43,8 @@ func NewBurstScript(streams ...BurstStream) *BurstScript {
 type BurstScript struct {
 	streams []BurstStream
 	sent    []int64
-	lastT   int64 // last step Inject ran at (0 before the first)
+	lastT   int64              // last step Inject ran at (0 before the first)
+	out     []packet.Injection // Inject's result, reused across calls
 }
 
 // PreStep implements sim.Adversary.
@@ -56,7 +57,7 @@ func (b *BurstScript) Inject(e *sim.Engine) []packet.Injection {
 	}
 	t := e.Now()
 	b.lastT = t
-	var out []packet.Injection
+	out := b.out[:0]
 	for i, st := range b.streams {
 		if t < st.Start || (t-st.Start)%st.Period != 0 {
 			continue
@@ -72,6 +73,7 @@ func (b *BurstScript) Inject(e *sim.Engine) []packet.Injection {
 		}
 		b.sent[i] += n
 	}
+	b.out = out
 	return out
 }
 

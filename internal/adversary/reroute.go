@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"aqt/internal/graph"
 	"aqt/internal/packet"
@@ -12,27 +14,35 @@ import (
 // SharedEdge returns an edge common to the remaining routes of all the
 // given packets, if one exists (the precondition of Lemma 3.3 on the
 // rerouted set P0). Ties are resolved to the lowest edge ID.
+//
+// The candidates start as the first packet's remaining route and are
+// narrowed by each further packet, so the cost is O(len(pkts)·L·C) for
+// routes of length L and C surviving candidates, with no allocation
+// for routes of up to 64 edges.
 func SharedEdge(pkts []*packet.Packet) (graph.EdgeID, bool) {
 	if len(pkts) == 0 {
 		return graph.NoEdge, false
 	}
-	counts := make(map[graph.EdgeID]int)
-	for _, p := range pkts {
-		seen := make(map[graph.EdgeID]bool)
-		for _, e := range p.RemainingRoute() {
-			if !seen[e] {
-				seen[e] = true
-				counts[e]++
+	var buf [64]graph.EdgeID
+	common := append(buf[:0], pkts[0].RemainingRoute()...)
+	for _, p := range pkts[1:] {
+		if len(common) == 0 {
+			break
+		}
+		rem := p.RemainingRoute()
+		n := 0
+		for _, e := range common {
+			if slices.Contains(rem, e) {
+				common[n] = e
+				n++
 			}
 		}
+		common = common[:n]
 	}
-	best, found := graph.NoEdge, false
-	for e, c := range counts {
-		if c == len(pkts) && (!found || e < best) {
-			best, found = e, true
-		}
+	if len(common) == 0 {
+		return graph.NoEdge, false
 	}
-	return best, found
+	return slices.Min(common), true
 }
 
 // Rerouter validates and performs Lemma 3.3 reroutes. It observes
@@ -47,21 +57,23 @@ func SharedEdge(pkts []*packet.Packet) (graph.EdgeID, bool) {
 type Rerouter struct {
 	Rate rational.Rat
 	// lastUse[e] is the latest injection time of any packet whose
-	// route (as first injected or later extended) includes e.
-	lastUse map[graph.EdgeID]int64
-	seenAny map[graph.EdgeID]bool
+	// route (as first injected or later extended) includes e, or
+	// neverUsed. It grows on demand to the highest edge ID seen.
+	lastUse []int64
+	// exts is ExtendBatch's per-packet scratch, reused across batches.
+	exts [][]graph.EdgeID
 }
+
+// neverUsed marks an edge no recorded route includes. Injection times
+// are non-negative, so it sits below every isNewAt threshold.
+const neverUsed = math.MinInt64
 
 // NewRerouter returns a Rerouter for a rate-r adversary.
 func NewRerouter(rate rational.Rat) *Rerouter {
 	if rate.Sign() <= 0 {
 		panic("adversary: rerouter needs a positive rate")
 	}
-	return &Rerouter{
-		Rate:    rate,
-		lastUse: make(map[graph.EdgeID]int64),
-		seenAny: make(map[graph.EdgeID]bool),
-	}
+	return &Rerouter{Rate: rate}
 }
 
 // OnStep implements sim.Observer.
@@ -89,8 +101,10 @@ func (r *Rerouter) OnReroute(t int64, p *packet.Packet, oldRoute []graph.EdgeID)
 
 func (r *Rerouter) note(t int64, route []graph.EdgeID) {
 	for _, e := range route {
-		if !r.seenAny[e] || r.lastUse[e] < t {
-			r.seenAny[e] = true
+		for int(e) >= len(r.lastUse) {
+			r.lastUse = append(r.lastUse, neverUsed)
+		}
+		if r.lastUse[e] < t {
 			r.lastUse[e] = t
 		}
 	}
@@ -105,19 +119,19 @@ func (r *Rerouter) IsNew(e *sim.Engine, edge graph.EdgeID) bool {
 	if !any {
 		return true
 	}
-	return r.isNewAt(tStar, edge)
+	return r.isNewAt(r.threshold(tStar), edge)
 }
 
-// isNewAt is IsNew with the population's minimum injection time
-// precomputed — batch callers compute tStar once instead of scanning
-// every queued packet per edge.
-func (r *Rerouter) isNewAt(tStar int64, edge graph.EdgeID) bool {
-	last, used := r.lastUse[edge], r.seenAny[edge]
-	if !used {
-		return true
-	}
-	threshold := tStar - r.Rate.Inv().Ceil()
-	return last < threshold
+// threshold is tStar - ceil(1/r): an edge last used before it is new.
+func (r *Rerouter) threshold(tStar int64) int64 {
+	return tStar - r.Rate.Inv().Ceil()
+}
+
+// isNewAt is IsNew with the threshold precomputed — batch callers
+// compute it once instead of scanning every queued packet and
+// inverting the rate per edge.
+func (r *Rerouter) isNewAt(threshold int64, edge graph.EdgeID) bool {
+	return int(edge) >= len(r.lastUse) || r.lastUse[edge] < threshold
 }
 
 func minInjectionTime(e *sim.Engine) (int64, bool) {
@@ -147,16 +161,23 @@ func (r *Rerouter) ExtendBatch(e *sim.Engine, pkts []*packet.Packet, ext func(p 
 	if _, ok := SharedEdge(pkts); !ok {
 		return fmt.Errorf("adversary: rerouted packets share no common edge")
 	}
-	tStar, any := minInjectionTime(e)
-	exts := make([][]graph.EdgeID, len(pkts))
-	for i, p := range pkts {
-		exts[i] = ext(p)
-		for _, edge := range exts[i] {
-			if any && !r.isNewAt(tStar, edge) {
+	// With no packet in the network every edge is new; injection times
+	// never reach MaxInt64, so that threshold admits every edge.
+	threshold := int64(math.MaxInt64)
+	if tStar, any := minInjectionTime(e); any {
+		threshold = r.threshold(tStar)
+	}
+	exts := r.exts[:0]
+	for _, p := range pkts {
+		x := ext(p)
+		exts = append(exts, x)
+		for _, edge := range x {
+			if !r.isNewAt(threshold, edge) {
 				return fmt.Errorf("adversary: extension edge %d is not new to P(t)", edge)
 			}
 		}
 	}
+	r.exts = exts
 	for i, p := range pkts {
 		if len(exts[i]) > 0 {
 			e.ExtendRoute(p, exts[i])

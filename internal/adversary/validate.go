@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aqt/internal/graph"
@@ -25,12 +26,10 @@ func newUsage() *usage {
 }
 
 func (u *usage) add(t int64, edges []graph.EdgeID) {
-	seen := make(map[graph.EdgeID]bool, len(edges))
-	for _, e := range edges {
-		if seen[e] {
+	for i, e := range edges {
+		if slices.Contains(edges[:i], e) {
 			continue // an edge counts once per packet (routes are simple anyway)
 		}
-		seen[e] = true
 		u.times[e] = append(u.times[e], t)
 	}
 }

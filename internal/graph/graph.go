@@ -220,19 +220,52 @@ func (g *Graph) IsPath(route []EdgeID) bool {
 }
 
 // IsSimplePath reports whether route is a directed path visiting no
-// node twice (the model requires injected routes to be simple).
+// node twice (the model requires injected routes to be simple). Each
+// call sizes a fresh PathChecker to the graph; hot paths keep their own
+// PathChecker instead.
 func (g *Graph) IsSimplePath(route []EdgeID) bool {
-	if !g.IsPath(route) {
-		return false
+	var c PathChecker
+	return c.IsSimplePath(g, route)
+}
+
+// PathChecker checks route simplicity in O(len(route)) without
+// allocating in steady state. It stamps visited nodes with a
+// generation counter in a node-indexed table, so a check never clears
+// the table except when the counter wraps; the table grows on demand
+// with the graph. A PathChecker is not safe for concurrent use; the
+// zero value is ready to use.
+type PathChecker struct {
+	marks []uint32
+	gen   uint32
+}
+
+// IsSimplePath reports whether route is a directed path of g visiting
+// no node twice. It agrees with Graph.IsSimplePath.
+func (c *PathChecker) IsSimplePath(g *Graph, route []EdgeID) bool {
+	return g.IsPath(route) && c.NodesDistinct(g, route)
+}
+
+// NodesDistinct reports whether route, which must already be a path of
+// g (see Graph.IsPath), visits no node twice. Callers that report
+// contiguity and simplicity failures apart check IsPath first and then
+// this, so neither property is checked twice.
+func (c *PathChecker) NodesDistinct(g *Graph, route []EdgeID) bool {
+	if n := g.NumNodes(); len(c.marks) < n {
+		c.marks = append(c.marks, make([]uint32, n-len(c.marks))...)
 	}
-	seen := make(map[NodeID]bool, len(route)+1)
-	seen[g.edges[route[0]].From] = true
+	c.gen++
+	if c.gen == 0 {
+		clear(c.marks)
+		c.gen = 1
+	}
+	gen := c.gen
+	c.marks[g.edges[route[0]].From] = gen
 	for _, e := range route {
 		to := g.edges[e].To
-		if seen[to] {
+		if c.marks[to] == gen {
 			return false
 		}
-		seen[to] = true
+		c.marks[to] = gen
 	}
 	return true
 }

@@ -49,7 +49,10 @@ type Adversary interface {
 	// substep; it may reroute packets.
 	PreStep(e *Engine)
 	// Inject runs in the second substep of step t = e.Now() and
-	// returns the packets to inject at this step.
+	// returns the packets to inject at this step. The engine reads the
+	// returned slice and the routes it references only until the next
+	// Inject call and retains neither (admission copies each route),
+	// so an adversary may reuse both across calls.
 	Inject(e *Engine) []packet.Injection
 }
 
@@ -192,6 +195,11 @@ type Engine struct {
 	// O(1/chunk) allocations per packet instead of 2.
 	routeArena []graph.EdgeID
 	pktArena   []packet.Packet
+
+	// paths checks route simplicity for admit, reroutes and restore
+	// without allocating. It is per-engine scratch: engines run in
+	// parallel (search probes) and never share one.
+	paths graph.PathChecker
 
 	stats StepStats
 
@@ -426,7 +434,7 @@ func (e *Engine) SeedN(n int, inj packet.Injection) {
 // Injection observers fire before the enqueue attempt (none reads
 // enqueue-time state), so an event trace shows inject before drop.
 func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
-	if !e.cfg.SkipRouteCheck && !e.g.IsSimplePath(inj.Route) {
+	if !e.cfg.SkipRouteCheck && !e.paths.IsSimplePath(e.g, inj.Route) {
 		panic(fmt.Sprintf("sim: injection route is not a simple path: %s",
 			e.g.RouteString(inj.Route)))
 	}
@@ -462,20 +470,21 @@ func (e *Engine) newPacket() *packet.Packet {
 	return p
 }
 
-// copyRoute copies src into the route arena. The returned slice has
-// capacity exactly len(src), so appends by callers cannot clobber a
-// neighbouring route.
-func (e *Engine) copyRoute(src []graph.EdgeID) []graph.EdgeID {
-	n := len(src)
+// copyRoute copies the concatenation of parts into the route arena.
+// The returned slice has capacity exactly its length, so appends by
+// callers cannot clobber a neighbouring route.
+func (e *Engine) copyRoute(parts ...[]graph.EdgeID) []graph.EdgeID {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
 	if cap(e.routeArena)-len(e.routeArena) < n {
-		size := 1024
-		if n > size {
-			size = n
-		}
-		e.routeArena = make([]graph.EdgeID, 0, size)
+		e.routeArena = make([]graph.EdgeID, 0, max(n, 1024))
 	}
 	start := len(e.routeArena)
-	e.routeArena = append(e.routeArena, src...)
+	for _, part := range parts {
+		e.routeArena = append(e.routeArena, part...)
+	}
 	return e.routeArena[start : start+n : start+n]
 }
 
@@ -710,7 +719,7 @@ func (e *Engine) ExtendRoute(p *packet.Packet, ext []graph.EdgeID) {
 	if len(ext) == 0 {
 		return
 	}
-	e.ReplaceRouteSuffix(p, append(append([]graph.EdgeID{}, p.Route[p.Pos+1:]...), ext...))
+	e.reroute(p, p.Route[p.Pos+1:], ext)
 }
 
 // ReplaceRouteSuffix replaces the part of p's route strictly after its
@@ -723,6 +732,13 @@ func (e *Engine) ExtendRoute(p *packet.Packet, ext []graph.EdgeID) {
 // inside them — would silently corrupt the keyed-heap tombstone
 // bookkeeping, so the engine panics instead.
 func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) {
+	e.reroute(p, newSuffix, nil)
+}
+
+// reroute replaces the suffix of p's route after its current edge with
+// suffix followed by ext. The new route is built once, in the route
+// arena, and checked once for contiguity and once for simplicity.
+func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.midStep {
 		panic(fmt.Sprintf("sim: reroute of %v during the send/receive/inject substeps; "+
 			"Lemma 3.3 reroutes are allowed only from Adversary.PreStep (or between steps)", p))
@@ -732,15 +748,13 @@ func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) 
 	if e.keyed != nil {
 		oldKey = e.keyed.SelectionKey(p)
 	}
-	route := make([]graph.EdgeID, 0, p.Pos+1+len(newSuffix))
-	route = append(route, old[:p.Pos+1]...)
-	route = append(route, newSuffix...)
+	route := e.copyRoute(old[:p.Pos+1], suffix, ext)
 	if !e.cfg.SkipRouteCheck {
 		if !e.g.IsPath(route) {
 			panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",
 				p, e.g.RouteString(route)))
 		}
-		if !e.g.IsSimplePath(route) {
+		if !e.paths.NodesDistinct(e.g, route) {
 			panic(fmt.Sprintf("sim: reroute of %v is not simple: %s",
 				p, e.g.RouteString(route)))
 		}
