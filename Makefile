@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: verify test vet race perfbench-check bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
+.PHONY: verify test vet race perfbench-check ab bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
 
 verify: test vet race perfbench-check
 
@@ -30,6 +30,16 @@ race:
 
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Paired same-host A/B of the end-to-end benchmark (tools/ab.sh): BASE,
+# a git revision checked out as a worktree under .ab_build/, against
+# the working tree on WORKLOAD, ROUNDS interleaved A-then-B runs on the
+# same seeds; prints per-round values and the median B/A ratio.
+BASE ?= HEAD
+WORKLOAD ?= pump
+ROUNDS ?= 5
+ab:
+	bash tools/ab.sh $(BASE) $(WORKLOAD) $(ROUNDS)
 
 # Emit a BENCH_<LABEL>.json trajectory point (default label: git short hash).
 LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)

@@ -68,7 +68,9 @@ var (
 
 // Packets and injections.
 type (
-	// Packet is a packet in flight; treat as read-only.
+	// Packet is a packet in flight; treat as read-only. A *Packet is
+	// valid until its OnAbsorb or OnDrop callbacks return (see
+	// packet.Packet).
 	Packet = packet.Packet
 	// Injection describes one packet an adversary injects.
 	Injection = packet.Injection

@@ -23,14 +23,24 @@ import (
 // charging needed), and (b) replay it against a fresh engine and
 // observe the identical execution (for historic policies, claim (1)
 // of Lemma 3.3).
+//
+// Packets are valid only until their OnAbsorb or OnDrop callbacks
+// return, so the recorder snapshots each packet's final route and tag
+// there; Finish snapshots the packets still queued. Tags set after
+// injection (core's TagOld) are therefore recorded as they stand when
+// the packet leaves the network.
 type ScheduleRecorder struct {
-	pkts  []*packet.Packet // in admission order (seeds first)
-	steps []int64          // injection step per packet
-	done  bool
-	rec   []RecordedInjection
+	// rec[i] is the packet with ID firstID + i; IDs are dense in
+	// admission order (seeds first). live[i] is that packet while it is
+	// still in the network, nil once rec[i] holds its snapshot.
+	rec     []RecordedInjection
+	live    []*packet.Packet
+	firstID packet.ID
+	done    bool
 }
 
-// RecordedInjection is one packet of a finished recording.
+// RecordedInjection is one packet of a finished recording. Route
+// shares the engine's immutable route storage; treat it as read-only.
 type RecordedInjection struct {
 	Step  int64 // 0 = initial-configuration seed
 	Route []graph.EdgeID
@@ -49,38 +59,56 @@ func (r *ScheduleRecorder) OnInject(t int64, p *packet.Packet) {
 	if r.done {
 		panic("adversary: Recorder used after Finish")
 	}
-	r.pkts = append(r.pkts, p)
-	r.steps = append(r.steps, t)
+	if len(r.rec) == 0 {
+		r.firstID = p.ID
+	}
+	r.rec = append(r.rec, RecordedInjection{Step: t})
+	r.live = append(r.live, p)
 }
 
 // OnReroute implements sim.RerouteObserver. Nothing to store: the
-// final route is read from the packet at Finish time.
+// final route is read from the packet when it leaves the network or at
+// Finish.
 func (r *ScheduleRecorder) OnReroute(int64, *packet.Packet, []graph.EdgeID) {}
 
-// Finish freezes the recording, snapshotting every packet's final
-// route. Call it after the recorded run completes (further reroutes
-// would not be seen).
+// OnAbsorb implements sim.AbsorptionObserver: snapshots the packet's
+// final route and tag before the engine releases it.
+func (r *ScheduleRecorder) OnAbsorb(_ int64, p *packet.Packet) { r.snapshot(p) }
+
+// OnDrop implements sim.DropObserver, as OnAbsorb.
+func (r *ScheduleRecorder) OnDrop(_ int64, _ graph.EdgeID, p *packet.Packet) { r.snapshot(p) }
+
+// snapshot records p's route and tag, unless p was admitted before the
+// recording began or after it finished.
+func (r *ScheduleRecorder) snapshot(p *packet.Packet) {
+	i := int(p.ID - r.firstID)
+	if r.done || i < 0 || i >= len(r.live) || r.live[i] != p {
+		return
+	}
+	r.rec[i].Route, r.rec[i].Tag = p.Route, p.Tag
+	r.live[i] = nil
+}
+
+// Finish freezes the recording, snapshotting the final route of every
+// packet still queued. Call it after the recorded run completes
+// (further reroutes would not be seen).
 func (r *ScheduleRecorder) Finish() []RecordedInjection {
 	if r.done {
 		return r.rec
 	}
-	r.done = true
-	r.rec = make([]RecordedInjection, len(r.pkts))
-	for i, p := range r.pkts {
-		route := make([]graph.EdgeID, len(p.Route))
-		copy(route, p.Route)
-		r.rec[i] = RecordedInjection{Step: r.steps[i], Route: route, Tag: p.Tag}
+	for _, p := range r.live {
+		if p != nil {
+			r.snapshot(p)
+		}
 	}
-	r.pkts = nil
+	r.done = true
+	r.live = nil
 	return r.rec
 }
 
 // Len returns the number of recorded packets so far.
 func (r *ScheduleRecorder) Len() int {
-	if r.done {
-		return len(r.rec)
-	}
-	return len(r.pkts)
+	return len(r.rec)
 }
 
 // Replay is an oblivious adversary that re-issues a finished

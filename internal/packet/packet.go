@@ -21,12 +21,22 @@ type ID int64
 
 // Packet is a packet in flight (or queued) in the network. The engine
 // owns packets; policies and observers must treat them as read-only.
+//
+// Lifetime: a *Packet is valid from its admission (a seed or an
+// injection) until the OnAbsorb or OnDrop callbacks for it return.
+// The engine then zeroes the packet and reuses its storage for a later
+// admission, so an observer copies what it keeps beyond that point, as
+// obs.SpanTracer keeps packet IDs rather than packets.
 type Packet struct {
 	ID ID
 
 	// Route is the full route of the packet, as (possibly extended by
 	// rerouting) at the current time. Route[Pos] is the edge whose
 	// buffer currently holds the packet (or which it is crossing).
+	// Routes are immutable and shared: packets with equal routes may
+	// share one, and a reroute assigns a new route rather than
+	// modifying the elements of the old one, so a Route slice read at
+	// any time stays valid and unchanged.
 	Route []graph.EdgeID
 
 	// Pos is the index into Route of the packet's current edge.

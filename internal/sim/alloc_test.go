@@ -8,6 +8,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"aqt/internal/adversary"
@@ -108,5 +109,33 @@ func TestExtendRouteAllocs(t *testing.T) {
 		e.ExtendRoute(p, route[1:])
 	}); avg != 0 {
 		t.Errorf("ExtendRoute on a 12-edge route: %v allocs per reroute pair, want 0", avg)
+	}
+}
+
+// TestBalancedRunAllocatesZeroBytes gates bytes, not just the rounded
+// allocs/op: on a balanced Line/FIFO run (every edge loaded at rate 1,
+// so the backlog stays constant) absorbed packets' slots and the
+// interned injection routes are reused, and 10⁵ steps after warm-up
+// allocate nothing at all.
+func TestBalancedRunAllocatesZeroBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g := graph.Line(8)
+	injs := []packet.Injection{
+		packet.InjNamed(g, "e1", "e2", "e3"),
+		packet.InjNamed(g, "e4", "e5", "e6", "e7", "e8"),
+	}
+	e := sim.New(g, policy.FIFO{}, sim.InjectFunc(func(*sim.Engine) []packet.Injection { return injs }))
+	e.RunQuiet(1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.RunQuiet(100_000)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
+		t.Errorf("balanced Line/FIFO run: %d bytes allocated over 10⁵ steps, want 0", d)
+	}
+	if e.TotalQueued() > 8 {
+		t.Errorf("backlog %d: the run is not balanced", e.TotalQueued())
 	}
 }

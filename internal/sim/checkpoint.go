@@ -7,10 +7,11 @@
 // wall-clock Stats.Nanos, which is deliberately not serialized),
 // identical per-edge queue contents, identical keyed-heap counters and
 // identical observer output. The derived views — length histogram,
-// incremental max tracking, active set, nonFinal counter, arenas — are
-// canonically rebuilt on restore; everything whose *history* shows
-// through the API (keyed-heap arrays and tombstone counts, StepStats,
-// drop accounting, max residence) is serialized verbatim.
+// incremental max tracking, active set, nonFinal counter, packet slots
+// and shared routes — are canonically rebuilt on restore; everything
+// whose *history* shows through the API (keyed-heap arrays and
+// tombstone counts, StepStats, drop accounting, max residence) is
+// serialized verbatim.
 //
 // A checkpoint does not embed the graph, policy or configuration: it
 // carries fingerprints of them and Restore refuses a mismatched
@@ -589,10 +590,14 @@ func (e *Engine) Restore(c *Checkpoint) error {
 	}
 
 	// --- validation complete; apply ---
-	// Wipe any pre-run seeds and their derived views first, so the
-	// rebuild below starts from the same blank slate NewWithConfig
-	// leaves behind.
+	// Wipe any pre-run seeds (releasing their slots) and their derived
+	// views first, so the rebuild below starts from the same blank slate
+	// NewWithConfig leaves behind.
 	for i := range e.buffers {
+		e.buffers[i].Each(func(p *packet.Packet) bool {
+			e.releasePacket(p)
+			return true
+		})
 		e.buffers[i].Clear()
 	}
 	e.active = e.active[:0]
@@ -653,9 +658,10 @@ func (e *Engine) Restore(c *Checkpoint) error {
 		buf := &e.buffers[bc.Edge]
 		for i := range bc.Packets {
 			pc := &bc.Packets[i]
-			p := &packet.Packet{
+			p := e.newPacket()
+			*p = packet.Packet{
 				ID:         packet.ID(pc.ID),
-				Route:      append([]graph.EdgeID(nil), pc.Route...),
+				Route:      e.routeStore().intern(pc.Route),
 				Pos:        pc.Pos,
 				InjectedAt: pc.InjectedAt,
 				ArrivedAt:  pc.ArrivedAt,

@@ -106,16 +106,18 @@ func DropByName(name string) (DropPolicy, error) {
 // either the arrival itself (never enqueued there) or an evicted
 // resident. Fires from the same event-dispatch layer as the other
 // event observers, so AddEventObserver wiring preserves the
-// observerless Run fast path.
+// observerless Run fast path. p is valid only until the OnDrop
+// callbacks return: the engine then zeroes and reuses its slot, so an
+// observer copies what it keeps.
 type DropObserver interface {
 	OnDrop(t int64, eid graph.EdgeID, p *packet.Packet)
 }
 
 // tryEnqueue places p at the back of the buffer of its current edge,
 // applying the capacity limit first: at a full buffer the drop policy
-// either discards the arrival (tryEnqueue reports false and p is not
-// enqueued anywhere) or evicts a resident to make room. In unbounded
-// mode (BufferCap == 0) this is exactly enqueue.
+// either discards the arrival (tryEnqueue reports false, and p is not
+// enqueued anywhere and already released) or evicts a resident to make
+// room. In unbounded mode (BufferCap == 0) this is exactly enqueue.
 func (e *Engine) tryEnqueue(p *packet.Packet, t int64) bool {
 	if e.cfg.BufferCap > 0 {
 		eid := p.CurrentEdge()
@@ -159,9 +161,9 @@ func (e *Engine) evict(eid graph.EdgeID, v int, t int64) {
 	e.dropPacket(eid, victim, t)
 }
 
-// dropPacket accounts one dropped packet at edge eid and notifies the
-// DropObservers. Only reachable in bounded mode, where dropsPerEdge is
-// allocated.
+// dropPacket accounts one dropped packet at edge eid, notifies the
+// DropObservers and releases the packet's slot. Only reachable in
+// bounded mode, where dropsPerEdge is allocated.
 func (e *Engine) dropPacket(eid graph.EdgeID, p *packet.Packet, t int64) {
 	e.dropped++
 	e.stats.Drops++
@@ -169,6 +171,7 @@ func (e *Engine) dropPacket(eid graph.EdgeID, p *packet.Packet, t int64) {
 	for _, ob := range e.dropObs {
 		ob.OnDrop(t, eid, p)
 	}
+	e.releasePacket(p)
 }
 
 // Dropped returns the lifetime number of dropped packets (0 in

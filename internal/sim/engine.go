@@ -51,8 +51,9 @@ type Adversary interface {
 	// Inject runs in the second substep of step t = e.Now() and
 	// returns the packets to inject at this step. The engine reads the
 	// returned slice and the routes it references only until the next
-	// Inject call and retains neither (admission copies each route),
-	// so an adversary may reuse both across calls.
+	// Inject call and retains neither (admission copies each route, or
+	// reuses the engine's stored copy of an equal one), so an adversary
+	// may reuse and rewrite both across calls.
 	Inject(e *Engine) []packet.Injection
 }
 
@@ -93,6 +94,13 @@ type Observer interface {
 	OnStep(e *Engine)
 }
 
+// The event observers below receive packets under the lifetime rule of
+// packet.Packet: a *Packet is valid from its admission until its
+// OnAbsorb or OnDrop callbacks return, after which the engine zeroes
+// and reuses it. An observer that keeps anything past that point
+// copies it (IDs, tags, the route slice, which is immutable) instead
+// of retaining the *Packet.
+
 // InjectionObserver is additionally notified of every injection
 // (including initial-configuration seeds, which arrive with t = 0).
 type InjectionObserver interface {
@@ -105,7 +113,11 @@ type RerouteObserver interface {
 }
 
 // AbsorptionObserver is additionally notified when a packet reaches
-// its destination and leaves the network.
+// its destination and leaves the network. OnAbsorb is the last
+// callback in which p is valid: the engine releases it once every
+// AbsorptionObserver has returned. Leaped drain windows absorb without
+// callbacks, so an observer that must see every absorption refuses
+// them (see LeapObserver).
 type AbsorptionObserver interface {
 	OnAbsorb(t int64, p *packet.Packet)
 }
@@ -190,11 +202,17 @@ type Engine struct {
 	maxEdge  graph.EdgeID
 	maxDirty bool
 
-	// Allocation arenas: injected routes and packets are carved out of
-	// chunked backing slices so steady-state injection costs amortized
-	// O(1/chunk) allocations per packet instead of 2.
-	routeArena []graph.EdgeID
-	pktArena   []packet.Packet
+	// Packet slots are carved out of chunked backing slices; a slot is
+	// zeroed and pushed on freePkts once the packet's OnAbsorb or OnDrop
+	// callbacks return, and newPacket reuses it before carving a new
+	// one, so packet memory tracks the backlog, not lifetime injections.
+	pktArena []packet.Packet
+	freePkts []*packet.Packet
+
+	// routes holds the immutable routes packets share (routes.go);
+	// allocated on the first admission or reroute, so engine
+	// construction allocates nothing for it.
+	routes *routeStore
 
 	// paths checks route simplicity for admit, reroutes and restore
 	// without allocating. It is per-engine scratch: engines run in
@@ -411,7 +429,10 @@ func (e *Engine) NotifyFailure(reason string) {
 
 // Seed places a packet with the given route into the network as part
 // of the initial configuration (time 0). It panics if called after the
-// first step or if the route is invalid.
+// first step or if the route is invalid. It returns the admitted
+// packet, valid until its OnAbsorb or OnDrop callbacks return, or nil
+// when a bounded buffer drops the seed on arrival (its slot is then
+// already released).
 func (e *Engine) Seed(inj packet.Injection) *packet.Packet {
 	if e.started {
 		panic("sim: Seed after execution started")
@@ -441,7 +462,7 @@ func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
 	p := e.newPacket()
 	*p = packet.Packet{
 		ID:         e.nextID,
-		Route:      e.copyRoute(inj.Route),
+		Route:      e.routeStore().intern(inj.Route),
 		Pos:        0,
 		InjectedAt: t,
 		Tag:        inj.Tag,
@@ -453,15 +474,20 @@ func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
 	for _, ob := range e.injObs {
 		ob.OnInject(t, p)
 	}
-	e.tryEnqueue(p, t)
+	if !e.tryEnqueue(p, t) {
+		return nil
+	}
 	return p
 }
 
-// newPacket hands out the next slot of the packet arena. A chunk stays
-// reachable while any of its packets is, so absorbed packets remain
-// safe to retain from observers; the arena only amortizes allocator
-// work, it never recycles.
+// newPacket hands out a packet slot: the most recently released one if
+// any, else the next slot of the packet arena.
 func (e *Engine) newPacket() *packet.Packet {
+	if n := len(e.freePkts); n > 0 {
+		p := e.freePkts[n-1]
+		e.freePkts = e.freePkts[:n-1]
+		return p
+	}
 	if len(e.pktArena) == 0 {
 		e.pktArena = make([]packet.Packet, 256)
 	}
@@ -470,22 +496,12 @@ func (e *Engine) newPacket() *packet.Packet {
 	return p
 }
 
-// copyRoute copies the concatenation of parts into the route arena.
-// The returned slice has capacity exactly its length, so appends by
-// callers cannot clobber a neighbouring route.
-func (e *Engine) copyRoute(parts ...[]graph.EdgeID) []graph.EdgeID {
-	n := 0
-	for _, part := range parts {
-		n += len(part)
-	}
-	if cap(e.routeArena)-len(e.routeArena) < n {
-		e.routeArena = make([]graph.EdgeID, 0, max(n, 1024))
-	}
-	start := len(e.routeArena)
-	for _, part := range parts {
-		e.routeArena = append(e.routeArena, part...)
-	}
-	return e.routeArena[start : start+n : start+n]
+// releasePacket zeroes the slot of a packet that has left the network
+// (after its OnAbsorb or OnDrop callbacks returned, or wiped by
+// Restore) and puts it on the free list for the next admission.
+func (e *Engine) releasePacket(p *packet.Packet) {
+	*p = packet.Packet{}
+	e.freePkts = append(e.freePkts, p)
 }
 
 // enqueue places p at the back of the buffer of its current edge.
@@ -629,6 +645,7 @@ func (e *Engine) stepCore() {
 			for _, ob := range e.absObs {
 				ob.OnAbsorb(e.now, p)
 			}
+			e.releasePacket(p)
 			continue
 		}
 		if e.tryEnqueue(p, e.now) {
@@ -736,8 +753,9 @@ func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) 
 }
 
 // reroute replaces the suffix of p's route after its current edge with
-// suffix followed by ext. The new route is built once, in the route
-// arena, and checked once for contiguity and once for simplicity.
+// suffix followed by ext. The route store builds the new route once per
+// distinct (old route, position, suffix, ext) within a step; it is
+// checked for contiguity and simplicity on every reroute.
 func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.midStep {
 		panic(fmt.Sprintf("sim: reroute of %v during the send/receive/inject substeps; "+
@@ -748,7 +766,7 @@ func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.keyed != nil {
 		oldKey = e.keyed.SelectionKey(p)
 	}
-	route := e.copyRoute(old[:p.Pos+1], suffix, ext)
+	route := e.routeStore().rerouted(old, p.Pos, suffix, ext, e.now)
 	if !e.cfg.SkipRouteCheck {
 		if !e.g.IsPath(route) {
 			panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",

@@ -328,8 +328,8 @@ func (e *Engine) applyLeap(k int64, kind LeapKind) {
 			if res := t - p.ArrivedAt; res > e.maxResidence {
 				e.maxResidence = res
 			}
-			p.Pos++
 			e.absorbed++
+			e.releasePacket(p)
 		}
 		// Bulk occupancy-histogram update: this edge moved from level l
 		// to level l-d in one go (the step engine walked it through the

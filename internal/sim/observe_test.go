@@ -203,14 +203,16 @@ func TestAbsorptionObserverHook(t *testing.T) {
 	hook := absorbFunc(func(_ int64, p *packet.Packet) { seen = append(seen, p.ID) })
 	e := sim.New(g, policy.FIFO{}, nil)
 	e.AddObserver(hook)
-	a := e.Seed(packet.InjNamed(g, "e1", "e2"))
-	b := e.Seed(packet.InjNamed(g, "e1"))
+	// Absorbed packets' slots are released, so the IDs are captured
+	// while both packets are still queued.
+	a := e.Seed(packet.InjNamed(g, "e1", "e2")).ID
+	b := e.Seed(packet.InjNamed(g, "e1")).ID
 	e.Run(4)
 	if len(seen) != 2 {
 		t.Fatalf("absorptions seen: %d", len(seen))
 	}
 	// b (single hop, queued second) is absorbed at step 2; a at step 3.
-	if seen[0] != b.ID || seen[1] != a.ID {
+	if seen[0] != b || seen[1] != a {
 		t.Errorf("absorption order = %v", seen)
 	}
 }
