@@ -138,6 +138,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzRouteChecks$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz '^FuzzKeyedHeapAgreement$$' -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz '^FuzzDropPolicy$$' -fuzztime 30s ./internal/sim
+	$(GO) test -fuzz '^FuzzAdmitRoutes$$' -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz '^FuzzScenarioLoad$$' -fuzztime 30s ./internal/scenario
 	$(GO) test -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/scenario
 	$(GO) test -fuzz '^FuzzBufferOps$$' -fuzztime 30s ./internal/buffer

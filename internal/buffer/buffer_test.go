@@ -7,7 +7,23 @@ import (
 	"aqt/internal/packet"
 )
 
-func pk(id int) *packet.Packet { return &packet.Packet{ID: packet.ID(id)} }
+// newBuf returns an empty buffer bound to a fresh slab.
+func newBuf() *Buffer {
+	b := new(Buffer)
+	b.Bind(new(packet.Slab))
+	return b
+}
+
+// pk makes a packet with the given ID in b's slab and returns its
+// handle.
+func pk(b *Buffer, id int) packet.Handle {
+	h, p := b.slab.New()
+	p.ID = packet.ID(id)
+	return h
+}
+
+// id returns the ID of the packet in slot h of b's slab.
+func id(b *Buffer, h packet.Handle) int { return int(b.slab.Get(h).ID) }
 
 func ids(b *Buffer) []int {
 	var out []int
@@ -31,9 +47,9 @@ func eq(a, b []int) bool {
 }
 
 func TestPushPopOrder(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	for i := 0; i < 20; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	if b.Len() != 20 {
 		t.Fatalf("Len = %d", b.Len())
@@ -42,8 +58,8 @@ func TestPushPopOrder(t *testing.T) {
 		t.Fatal("front/back wrong")
 	}
 	for i := 0; i < 20; i++ {
-		if got := b.PopFront(); int(got.ID) != i {
-			t.Fatalf("pop %d got %d", i, got.ID)
+		if got := b.PopFront(); id(b, got) != i {
+			t.Fatalf("pop %d got %d", i, id(b, got))
 		}
 	}
 	if b.Len() != 0 {
@@ -56,11 +72,11 @@ func TestPushPopOrder(t *testing.T) {
 // around the ring end, so the shifted window crosses ring[len-1] →
 // ring[0].
 func TestRemoveAtPrefixShiftWrapped(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	// Fill to capacity 8, then pop 6 so head sits at physical index 6,
 	// two slots from the ring end.
 	for i := 0; i < 8; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	for i := 0; i < 6; i++ {
 		b.PopFront()
@@ -68,32 +84,32 @@ func TestRemoveAtPrefixShiftWrapped(t *testing.T) {
 	// Refill: logical order 6,7,10..15; positions 0 and 1 live at
 	// physical 6 and 7, positions 2.. wrap to physical 0..
 	for i := 10; i < 16; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
-	if got := ids(&b); !eq(got, []int{6, 7, 10, 11, 12, 13, 14, 15}) {
+	if got := ids(b); !eq(got, []int{6, 7, 10, 11, 12, 13, 14, 15}) {
 		t.Fatalf("setup = %v", got)
 	}
 	// Removing position 2 (first wrapped slot) shifts the prefix
 	// {6,7} right across the wrap boundary.
-	if got := b.RemoveAt(2); int(got.ID) != 10 {
-		t.Fatalf("RemoveAt(2) = %d, want 10", got.ID)
+	if got := b.RemoveAt(2); id(b, got) != 10 {
+		t.Fatalf("RemoveAt(2) = %d, want 10", id(b, got))
 	}
-	if got := ids(&b); !eq(got, []int{6, 7, 11, 12, 13, 14, 15}) {
+	if got := ids(b); !eq(got, []int{6, 7, 11, 12, 13, 14, 15}) {
 		t.Fatalf("after wrapped prefix shift: %v", got)
 	}
 	// Now remove position 1: the whole (shorter) prefix lives past the
 	// wrap, exercising idx(j-1) wrapping inside the shift loop.
-	if got := b.RemoveAt(1); int(got.ID) != 7 {
-		t.Fatalf("RemoveAt(1) = %d, want 7", got.ID)
+	if got := b.RemoveAt(1); id(b, got) != 7 {
+		t.Fatalf("RemoveAt(1) = %d, want 7", id(b, got))
 	}
-	if got := ids(&b); !eq(got, []int{6, 11, 12, 13, 14, 15}) {
+	if got := ids(b); !eq(got, []int{6, 11, 12, 13, 14, 15}) {
 		t.Fatalf("after second shift: %v", got)
 	}
 	// Drain fully to confirm ring integrity after the wrapped moves.
 	want := []int{6, 11, 12, 13, 14, 15}
 	for _, w := range want {
-		if got := b.PopFront(); int(got.ID) != w {
-			t.Fatalf("drain got %d, want %d", got.ID, w)
+		if got := b.PopFront(); id(b, got) != w {
+			t.Fatalf("drain got %d, want %d", id(b, got), w)
 		}
 	}
 	if b.Len() != 0 {
@@ -104,75 +120,75 @@ func TestRemoveAtPrefixShiftWrapped(t *testing.T) {
 // TestRemoveAtSuffixShiftWrapped exercises the suffix-shift branch
 // when the suffix crosses the wrap boundary.
 func TestRemoveAtSuffixShiftWrapped(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	for i := 0; i < 8; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	b.PopFront()
 	b.PopFront()
-	b.PushBack(pk(10))
-	b.PushBack(pk(11))
+	b.PushBack(pk(b, 10))
+	b.PushBack(pk(b, 11))
 	// Logical 2..7,10,11; head at physical 2; positions 6,7 wrap to
 	// physical 0,1. Removing position 5 (physical 7, the last slot)
 	// picks the suffix branch and shifts {10,11} left across the ring
 	// end.
-	if got := b.RemoveAt(5); int(got.ID) != 7 {
-		t.Fatalf("RemoveAt(5) = %d, want 7", got.ID)
+	if got := b.RemoveAt(5); id(b, got) != 7 {
+		t.Fatalf("RemoveAt(5) = %d, want 7", id(b, got))
 	}
-	if got := ids(&b); !eq(got, []int{2, 3, 4, 5, 6, 10, 11}) {
+	if got := ids(b); !eq(got, []int{2, 3, 4, 5, 6, 10, 11}) {
 		t.Fatalf("after wrapped suffix shift: %v", got)
 	}
 	for _, w := range []int{2, 3, 4, 5, 6, 10, 11} {
-		if got := b.PopFront(); int(got.ID) != w {
-			t.Fatalf("drain got %d, want %d", got.ID, w)
+		if got := b.PopFront(); id(b, got) != w {
+			t.Fatalf("drain got %d, want %d", id(b, got), w)
 		}
 	}
 }
 
 func TestWrapAround(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	// Force head to travel around the ring repeatedly.
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 5; i++ {
-			b.PushBack(pk(round*5 + i))
+			b.PushBack(pk(b, round*5+i))
 		}
 		for i := 0; i < 5; i++ {
 			want := round*5 + i
-			if got := b.PopFront(); int(got.ID) != want {
-				t.Fatalf("round %d: got %d want %d", round, got.ID, want)
+			if got := b.PopFront(); id(b, got) != want {
+				t.Fatalf("round %d: got %d want %d", round, id(b, got), want)
 			}
 		}
 	}
 }
 
 func TestRemoveAtMiddle(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	for i := 0; i < 7; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	got := b.RemoveAt(3)
-	if got.ID != 3 {
-		t.Fatalf("RemoveAt(3) = %d", got.ID)
+	if id(b, got) != 3 {
+		t.Fatalf("RemoveAt(3) = %d", id(b, got))
 	}
-	if !eq(ids(&b), []int{0, 1, 2, 4, 5, 6}) {
-		t.Fatalf("order after middle removal: %v", ids(&b))
+	if !eq(ids(b), []int{0, 1, 2, 4, 5, 6}) {
+		t.Fatalf("order after middle removal: %v", ids(b))
 	}
 	got = b.RemoveAt(0)
-	if got.ID != 0 {
-		t.Fatalf("RemoveAt(0) = %d", got.ID)
+	if id(b, got) != 0 {
+		t.Fatalf("RemoveAt(0) = %d", id(b, got))
 	}
 	got = b.RemoveAt(b.Len() - 1)
-	if got.ID != 6 {
-		t.Fatalf("RemoveAt(last) = %d", got.ID)
+	if id(b, got) != 6 {
+		t.Fatalf("RemoveAt(last) = %d", id(b, got))
 	}
-	if !eq(ids(&b), []int{1, 2, 4, 5}) {
-		t.Fatalf("order: %v", ids(&b))
+	if !eq(ids(b), []int{1, 2, 4, 5}) {
+		t.Fatalf("order: %v", ids(b))
 	}
 }
 
 func TestAtAndPanics(t *testing.T) {
-	var b Buffer
-	b.PushBack(pk(1))
+	b := newBuf()
+	b.PushBack(pk(b, 1))
 	if b.At(0).ID != 1 {
 		t.Error("At(0) wrong")
 	}
@@ -193,9 +209,9 @@ func TestAtAndPanics(t *testing.T) {
 }
 
 func TestEachEarlyStop(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	for i := 0; i < 5; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	count := 0
 	b.Each(func(p *packet.Packet) bool {
@@ -208,9 +224,9 @@ func TestEachEarlyStop(t *testing.T) {
 }
 
 func TestSliceAndClear(t *testing.T) {
-	var b Buffer
+	b := newBuf()
 	for i := 0; i < 4; i++ {
-		b.PushBack(pk(i))
+		b.PushBack(pk(b, i))
 	}
 	s := b.Slice()
 	if len(s) != 4 || s[0].ID != 0 || s[3].ID != 3 {
@@ -220,7 +236,7 @@ func TestSliceAndClear(t *testing.T) {
 	if b.Len() != 0 {
 		t.Error("Clear failed")
 	}
-	b.PushBack(pk(9))
+	b.PushBack(pk(b, 9))
 	if b.Front().ID != 9 {
 		t.Error("buffer unusable after Clear")
 	}
@@ -230,23 +246,23 @@ func TestSliceAndClear(t *testing.T) {
 // implementation under a random operation sequence.
 func TestQuickAgainstReference(t *testing.T) {
 	f := func(ops []uint16) bool {
-		var b Buffer
+		b := newBuf()
 		var ref []*packet.Packet
 		next := 0
 		for _, op := range ops {
 			if op%3 != 0 && len(ref) > 0 {
 				i := int(op) % len(ref)
-				got := b.RemoveAt(i)
+				got := b.slab.Get(b.RemoveAt(i))
 				want := ref[i]
 				ref = append(ref[:i], ref[i+1:]...)
 				if got != want {
 					return false
 				}
 			} else {
-				p := pk(next)
+				h := pk(b, next)
 				next++
-				b.PushBack(p)
-				ref = append(ref, p)
+				b.PushBack(h)
+				ref = append(ref, b.slab.Get(h))
 			}
 			if b.Len() != len(ref) {
 				return false
@@ -274,10 +290,10 @@ func TestEvictionPatternsPreserveOrder(t *testing.T) {
 	const cap = 4
 	seq := int64(0)
 	push := func(b *Buffer, id int) {
-		p := pk(id)
-		p.EnqueueSeq = seq
+		h := pk(b, id)
+		b.slab.Get(h).EnqueueSeq = seq
 		seq++
-		b.PushBack(p)
+		b.PushBack(h)
 	}
 	sorted := func(b *Buffer) bool {
 		for i := 1; i < b.Len(); i++ {
@@ -291,21 +307,21 @@ func TestEvictionPatternsPreserveOrder(t *testing.T) {
 		"head": func(*Buffer, int) int { return 0 },
 		"ntg":  func(b *Buffer, arrival int) int { return arrival % b.Len() },
 	} {
-		var b Buffer
+		b := newBuf()
 		for id := 0; id < 200; id++ {
 			if b.Len() >= cap {
-				v := victim(&b, id)
+				v := victim(b, id)
 				want := b.At(v)
-				if got := b.RemoveAt(v); got != want {
+				if got := b.slab.Get(b.RemoveAt(v)); got != want {
 					t.Fatalf("%s: RemoveAt(%d) returned %v, want %v", name, v, got, want)
 				}
 			}
-			push(&b, id)
+			push(b, id)
 			if b.Len() > cap {
 				t.Fatalf("%s: occupancy %d exceeds cap %d", name, b.Len(), cap)
 			}
-			if !sorted(&b) {
-				t.Fatalf("%s: EnqueueSeq order broken after id %d: %v", name, id, ids(&b))
+			if !sorted(b) {
+				t.Fatalf("%s: EnqueueSeq order broken after id %d: %v", name, id, ids(b))
 			}
 			// IndexOfSeq must still resolve every survivor.
 			for i := 0; i < b.Len(); i++ {
@@ -319,11 +335,11 @@ func TestEvictionPatternsPreserveOrder(t *testing.T) {
 }
 
 func BenchmarkPushPop(b *testing.B) {
-	var buf Buffer
+	buf := newBuf()
 	for i := 0; i < b.N; i++ {
-		buf.PushBack(pk(i))
+		buf.PushBack(pk(buf, i))
 		if buf.Len() > 1000 {
-			buf.PopFront()
+			buf.slab.Release(buf.PopFront())
 		}
 	}
 }

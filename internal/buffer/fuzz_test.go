@@ -6,9 +6,10 @@ import (
 	"aqt/internal/packet"
 )
 
-// FuzzBufferOps drives a Buffer with an arbitrary operation tape and
-// checks it against a plain-slice reference, including the IndexOfSeq
-// binary search the engine's keyed fast path relies on.
+// FuzzBufferOps drives a slab-backed Buffer with an arbitrary operation
+// tape and checks it against a plain-slice reference, including the
+// IndexOfSeq binary search the engine's keyed fast path relies on.
+// Removed packets are released, so later pushes reuse their slots.
 func FuzzBufferOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 1, 1})
 	f.Add([]byte{0, 1, 0, 1, 0, 1})
@@ -17,31 +18,34 @@ func FuzzBufferOps(f *testing.F) {
 		if len(ops) > 200 {
 			ops = ops[:200]
 		}
-		var b Buffer
+		b := newBuf()
 		var ref []*packet.Packet
 		seq := int64(0)
 		for _, op := range ops {
 			switch {
 			case op%3 == 0 || len(ref) == 0:
-				p := &packet.Packet{ID: packet.ID(seq), EnqueueSeq: seq}
+				h, p := b.slab.New()
+				p.ID, p.EnqueueSeq = packet.ID(seq), seq
 				seq++
-				b.PushBack(p)
+				b.PushBack(h)
 				ref = append(ref, p)
 			case op%3 == 1:
 				i := int(op) % len(ref)
-				got := b.RemoveAt(i)
-				want := ref[i]
+				h := b.RemoveAt(i)
+				got, want := b.slab.Get(h), ref[i]
 				ref = append(ref[:i], ref[i+1:]...)
 				if got != want {
 					t.Fatalf("RemoveAt(%d) = %v, want %v", i, got, want)
 				}
+				b.slab.Release(h)
 			default:
-				got := b.PopFront()
-				want := ref[0]
+				h := b.PopFront()
+				got, want := b.slab.Get(h), ref[0]
 				ref = ref[1:]
 				if got != want {
 					t.Fatal("PopFront mismatch")
 				}
+				b.slab.Release(h)
 			}
 			if b.Len() != len(ref) {
 				t.Fatalf("Len %d vs %d", b.Len(), len(ref))

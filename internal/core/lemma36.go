@@ -169,8 +169,13 @@ func PumpPhase(p Params, c *gadget.Chain, k int, rr *adversary.Rerouter, rep *Pu
 // touched again.
 func collectGadgetPackets(e *sim.Engine, c *gadget.Chain, k int) []*packet.Packet {
 	egress := c.Egress(k)
-	var out []*packet.Packet
-	for _, eid := range c.GadgetEdges(k) {
+	edges := c.GadgetEdges(k)
+	n := 0
+	for _, eid := range edges {
+		n += e.QueueLen(eid)
+	}
+	out := make([]*packet.Packet, 0, n)
+	for _, eid := range edges {
 		q := e.Queue(eid)
 		q.Each(func(p *packet.Packet) bool {
 			rem := p.RemainingRoute()

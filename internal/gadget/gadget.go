@@ -278,13 +278,18 @@ func (c *Chain) SeedInvariant(e *sim.Engine, k, s int) {
 	// Fill e_n, e_{n-1}, …: the paper spreads packets with each buffer
 	// nonempty; the exact distribution is immaterial to the adversary,
 	// which only uses "one old packet crosses a′ per step" (Claim 3.8).
-	// Round-robin keeps every buffer nonempty.
-	for j := 0; j < s; j++ {
-		i := (j % c.N) + 1
-		e.Seed(packet.Injection{Route: c.EgressRouteOfE(k, i), Tag: "old-e"})
+	// Round-robin keeps every buffer nonempty. The routes are built once
+	// and shared by every seed: admission copies a route it keeps.
+	egress := make([][]graph.EdgeID, c.N)
+	for i := range egress {
+		egress[i] = c.EgressRouteOfE(k, i+1)
 	}
 	for j := 0; j < s; j++ {
-		e.Seed(packet.Injection{Route: c.LongRoute(k), Tag: "old-a"})
+		e.Seed(packet.Injection{Route: egress[j%c.N], Tag: "old-e"})
+	}
+	long := c.LongRoute(k)
+	for j := 0; j < s; j++ {
+		e.Seed(packet.Injection{Route: long, Tag: "old-a"})
 	}
 }
 

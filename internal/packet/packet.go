@@ -7,6 +7,10 @@
 // injection time, arrival time at the current buffer, the remaining
 // route — live here so the policy package can stay free of simulator
 // internals.
+//
+// The engine stores its packets in a Slab and moves them between
+// buffers as int32 Handles; policies, observers and adversaries still
+// see *Packet, whose address stays fixed while the packet lives.
 package packet
 
 import (
@@ -24,9 +28,10 @@ type ID int64
 //
 // Lifetime: a *Packet is valid from its admission (a seed or an
 // injection) until the OnAbsorb or OnDrop callbacks for it return.
-// The engine then zeroes the packet and reuses its storage for a later
-// admission, so an observer copies what it keeps beyond that point, as
-// obs.SpanTracer keeps packet IDs rather than packets.
+// The engine then zeroes the packet and reuses its storage (its Slab
+// slot) for a later admission, so an observer copies what it keeps
+// beyond that point, as obs.SpanTracer keeps packet IDs rather than
+// packets.
 type Packet struct {
 	ID ID
 

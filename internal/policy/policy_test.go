@@ -12,11 +12,14 @@ import (
 // spec describes one buffered packet: injectedAt, arrivedAt, pos, routeLen.
 type spec [4]int64
 
-// mkQueue builds a buffer of packets from specs; EnqueueSeq follows
-// slice order. The engine guarantees enqueue order == arrival order,
-// so callers keep arrivedAt non-decreasing when modeling real buffers.
+// mkQueue builds a buffer of packets from specs, stored in a fresh
+// slab as the engine stores them; EnqueueSeq follows slice order. The
+// engine guarantees enqueue order == arrival order, so callers keep
+// arrivedAt non-decreasing when modeling real buffers.
 func mkQueue(specs ...spec) *buffer.Buffer {
 	var q buffer.Buffer
+	slab := new(packet.Slab)
+	q.Bind(slab)
 	for i, s := range specs {
 		routeLen := int(s[3])
 		if routeLen < 1 {
@@ -26,14 +29,16 @@ func mkQueue(specs ...spec) *buffer.Buffer {
 		for j := range route {
 			route[j] = graph.EdgeID(j)
 		}
-		q.PushBack(&packet.Packet{
+		h, p := slab.New()
+		*p = packet.Packet{
 			ID:         packet.ID(i),
 			Route:      route,
 			Pos:        int(s[2]),
 			InjectedAt: s[0],
 			ArrivedAt:  s[1],
 			EnqueueSeq: int64(i),
-		})
+		}
+		q.PushBack(h)
 	}
 	return &q
 }

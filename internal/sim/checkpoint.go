@@ -594,11 +594,9 @@ func (e *Engine) Restore(c *Checkpoint) error {
 	// views first, so the rebuild below starts from the same blank slate
 	// NewWithConfig leaves behind.
 	for i := range e.buffers {
-		e.buffers[i].Each(func(p *packet.Packet) bool {
-			e.releasePacket(p)
-			return true
-		})
-		e.buffers[i].Clear()
+		for buf := &e.buffers[i]; buf.Len() > 0; {
+			e.slab.Release(buf.PopFront())
+		}
 	}
 	e.active = e.active[:0]
 	for i := range e.inAct {
@@ -658,7 +656,7 @@ func (e *Engine) Restore(c *Checkpoint) error {
 		buf := &e.buffers[bc.Edge]
 		for i := range bc.Packets {
 			pc := &bc.Packets[i]
-			p := e.newPacket()
+			h, p := e.slab.New()
 			*p = packet.Packet{
 				ID:         packet.ID(pc.ID),
 				Route:      e.routeStore().intern(pc.Route),
@@ -670,7 +668,7 @@ func (e *Engine) Restore(c *Checkpoint) error {
 				Tag:        pc.Tag,
 				SourceName: pc.Source,
 			}
-			buf.PushBack(p)
+			buf.PushBack(h)
 			if p.Pos < len(p.Route)-1 {
 				e.nonFinal++
 			}

@@ -118,13 +118,13 @@ type DropObserver interface {
 // either discards the arrival (tryEnqueue reports false, and p is not
 // enqueued anywhere and already released) or evicts a resident to make
 // room. In unbounded mode (BufferCap == 0) this is exactly enqueue.
-func (e *Engine) tryEnqueue(p *packet.Packet, t int64) bool {
+func (e *Engine) tryEnqueue(h packet.Handle, p *packet.Packet, t int64) bool {
 	if e.cfg.BufferCap > 0 {
 		eid := p.CurrentEdge()
 		if buf := &e.buffers[eid]; buf.Len() >= e.cfg.BufferCap {
 			v := e.cfg.Drop.Victim(buf, p, t)
 			if v < 0 {
-				e.dropPacket(eid, p, t)
+				e.dropPacket(eid, h, p, t)
 				return false
 			}
 			if v >= buf.Len() {
@@ -134,7 +134,7 @@ func (e *Engine) tryEnqueue(p *packet.Packet, t int64) bool {
 			e.evict(eid, v, t)
 		}
 	}
-	e.enqueue(p, t)
+	e.enqueue(h, p, t)
 	return true
 }
 
@@ -146,7 +146,8 @@ func (e *Engine) tryEnqueue(p *packet.Packet, t int64) bool {
 // entries, and popKeyed discards it by IndexOfSeq miss).
 func (e *Engine) evict(eid graph.EdgeID, v int, t int64) {
 	buf := &e.buffers[eid]
-	victim := buf.RemoveAt(v)
+	vh := buf.RemoveAt(v)
+	victim := e.slab.Get(vh)
 	e.shrinkLen(eid, buf.Len())
 	if victim.Pos < len(victim.Route)-1 {
 		e.nonFinal--
@@ -158,20 +159,20 @@ func (e *Engine) evict(eid graph.EdgeID, v int, t int64) {
 			e.compactHeap(int(eid))
 		}
 	}
-	e.dropPacket(eid, victim, t)
+	e.dropPacket(eid, vh, victim, t)
 }
 
-// dropPacket accounts one dropped packet at edge eid, notifies the
-// DropObservers and releases the packet's slot. Only reachable in
+// dropPacket accounts one dropped packet p, in slot h, at edge eid,
+// notifies the DropObservers and releases the slot. Only reachable in
 // bounded mode, where dropsPerEdge is allocated.
-func (e *Engine) dropPacket(eid graph.EdgeID, p *packet.Packet, t int64) {
+func (e *Engine) dropPacket(eid graph.EdgeID, h packet.Handle, p *packet.Packet, t int64) {
 	e.dropped++
 	e.stats.Drops++
 	e.dropsPerEdge[eid]++
 	for _, ob := range e.dropObs {
 		ob.OnDrop(t, eid, p)
 	}
-	e.releasePacket(p)
+	e.slab.Release(h)
 }
 
 // Dropped returns the lifetime number of dropped packets (0 in

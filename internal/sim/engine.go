@@ -202,12 +202,12 @@ type Engine struct {
 	maxEdge  graph.EdgeID
 	maxDirty bool
 
-	// Packet slots are carved out of chunked backing slices; a slot is
-	// zeroed and pushed on freePkts once the packet's OnAbsorb or OnDrop
-	// callbacks return, and newPacket reuses it before carving a new
-	// one, so packet memory tracks the backlog, not lifetime injections.
-	pktArena []packet.Packet
-	freePkts []*packet.Packet
+	// slab stores every packet; buffers, inFlight and the slab's free
+	// list hold int32 handles into it, never pointers. A slot is
+	// released once the packet's OnAbsorb or OnDrop callbacks return,
+	// and the next admission reuses it, so packet memory tracks the
+	// backlog, not lifetime injections.
+	slab packet.Slab
 
 	// routes holds the immutable routes packets share (routes.go);
 	// allocated on the first admission or reroute, so engine
@@ -223,9 +223,9 @@ type Engine struct {
 
 	injected     int64
 	absorbed     int64
-	dropped      int64            // bounded mode only (drop.go); 0 forever when BufferCap == 0
-	dropsPerEdge []int64          // per-edge drop counters; nil in unbounded mode
-	inFlight     []*packet.Packet // scratch for the current step's senders
+	dropped      int64           // bounded mode only (drop.go); 0 forever when BufferCap == 0
+	dropsPerEdge []int64         // per-edge drop counters; nil in unbounded mode
+	inFlight     []packet.Handle // scratch for the current step's senders
 	observers    []Observer
 	injObs       []InjectionObserver
 	rerObs       []RerouteObserver
@@ -237,6 +237,10 @@ type Engine struct {
 
 	maxResidence int64 // max completed residence in one buffer
 	started      bool  // true once Step has run; seeds then refused
+	// midStep is true while stepCore runs its send/receive/inject
+	// substeps; reroutes are legal only before them (from PreStep, or
+	// between steps, which is equivalent to the next PreStep).
+	midStep bool
 
 	// Keyed-policy fast path (see keyed.go): non-nil when the policy
 	// implements policy.Keyed. heapStale counts, per edge, the heap
@@ -249,11 +253,6 @@ type Engine struct {
 	// leap-acceptance probes (obs.Sampler) can ask "any tombstones
 	// anywhere?" in O(1) every window without an O(E) scan.
 	heapStaleTot int
-
-	// midStep is true while stepCore runs its send/receive/inject
-	// substeps; reroutes are legal only before them (from PreStep, or
-	// between steps, which is equivalent to the next PreStep).
-	midStep bool
 
 	// polFor holds the per-edge policies of a heterogeneous network
 	// (nil in the homogeneous case).
@@ -305,6 +304,9 @@ func NewWithConfig(g *graph.Graph, pol policy.Policy, adv Adversary, cfg Config)
 		maxEdge: graph.NoEdge,
 	}
 	e.lenCnt[0] = int32(g.NumEdges())
+	for i := range e.buffers {
+		e.buffers[i].Bind(&e.slab)
+	}
 	e.leapObs = e.leapObsArr[:0]
 	if cfg.BufferCap > 0 {
 		// Allocated only in bounded mode, so unbounded construction
@@ -454,19 +456,32 @@ func (e *Engine) SeedN(n int, inj packet.Injection) {
 // conservation law injected = absorbed + queued + dropped balances.
 // Injection observers fire before the enqueue attempt (none reads
 // enqueue-time state), so an event trace shows inject before drop.
+//
+// The route is checked once per distinct route: one equal to the route
+// the store keeps for its first edge already passed the same check
+// against the same immutable graph, so only a new route is checked
+// before it is stored.
 func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
-	if !e.cfg.SkipRouteCheck && !e.paths.IsSimplePath(e.g, inj.Route) {
-		panic(fmt.Sprintf("sim: injection route is not a simple path: %s",
-			e.g.RouteString(inj.Route)))
+	rs := e.routeStore()
+	route := rs.stored(inj.Route)
+	if route == nil {
+		if !e.cfg.SkipRouteCheck && !e.paths.IsSimplePath(e.g, inj.Route) {
+			panic(fmt.Sprintf("sim: injection route is not a simple path: %s",
+				e.g.RouteString(inj.Route)))
+		}
+		route = rs.store(inj.Route)
 	}
-	p := e.newPacket()
-	*p = packet.Packet{
-		ID:         e.nextID,
-		Route:      e.routeStore().intern(inj.Route),
-		Pos:        0,
-		InjectedAt: t,
-		Tag:        inj.Tag,
-		SourceName: inj.SourceName,
+	// The slot is zeroed; fill it field by field (a composite-literal
+	// assignment would copy the whole struct through a bulk barrier).
+	h, p := e.slab.New()
+	p.ID = e.nextID
+	p.Route = route
+	p.InjectedAt = t
+	if inj.Tag != "" {
+		p.Tag = inj.Tag
+	}
+	if inj.SourceName != "" {
+		p.SourceName = inj.SourceName
 	}
 	e.nextID++
 	e.injected++
@@ -474,38 +489,15 @@ func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
 	for _, ob := range e.injObs {
 		ob.OnInject(t, p)
 	}
-	if !e.tryEnqueue(p, t) {
+	if !e.tryEnqueue(h, p, t) {
 		return nil
 	}
 	return p
 }
 
-// newPacket hands out a packet slot: the most recently released one if
-// any, else the next slot of the packet arena.
-func (e *Engine) newPacket() *packet.Packet {
-	if n := len(e.freePkts); n > 0 {
-		p := e.freePkts[n-1]
-		e.freePkts = e.freePkts[:n-1]
-		return p
-	}
-	if len(e.pktArena) == 0 {
-		e.pktArena = make([]packet.Packet, 256)
-	}
-	p := &e.pktArena[0]
-	e.pktArena = e.pktArena[1:]
-	return p
-}
-
-// releasePacket zeroes the slot of a packet that has left the network
-// (after its OnAbsorb or OnDrop callbacks returned, or wiped by
-// Restore) and puts it on the free list for the next admission.
-func (e *Engine) releasePacket(p *packet.Packet) {
-	*p = packet.Packet{}
-	e.freePkts = append(e.freePkts, p)
-}
-
-// enqueue places p at the back of the buffer of its current edge.
-func (e *Engine) enqueue(p *packet.Packet, t int64) {
+// enqueue places p, the packet in slot h, at the back of the buffer of
+// its current edge.
+func (e *Engine) enqueue(h packet.Handle, p *packet.Packet, t int64) {
 	p.ArrivedAt = t
 	p.EnqueueSeq = e.nextSeq
 	e.nextSeq++
@@ -513,7 +505,7 @@ func (e *Engine) enqueue(p *packet.Packet, t int64) {
 	if p.Pos < len(p.Route)-1 {
 		e.nonFinal++
 	}
-	e.buffers[eid].PushBack(p)
+	e.buffers[eid].PushBack(h)
 	e.growLen(eid, e.buffers[eid].Len())
 	if e.keyed != nil {
 		e.heaps[eid].push(keyEntry{key: e.keyed.SelectionKey(p), seq: p.EnqueueSeq})
@@ -609,15 +601,16 @@ func (e *Engine) stepCore() {
 			continue
 		}
 		keep = append(keep, eid)
-		var p *packet.Packet
+		var h packet.Handle
 		switch {
 		case e.keyed != nil:
-			p = e.popKeyed(eid)
+			h = e.popKeyed(eid)
 		case e.polFor != nil:
-			p = buf.RemoveAt(e.polFor[eid].Select(buf, e.now))
+			h = buf.RemoveAt(e.polFor[eid].Select(buf, e.now))
 		default:
-			p = buf.RemoveAt(e.pol.Select(buf, e.now))
+			h = buf.RemoveAt(e.pol.Select(buf, e.now))
 		}
+		p := e.slab.Get(h)
 		e.shrinkLen(eid, buf.Len())
 		if p.Pos < len(p.Route)-1 {
 			e.nonFinal--
@@ -628,7 +621,7 @@ func (e *Engine) stepCore() {
 		for _, ob := range e.sendObs {
 			ob.OnSend(e.now, eid, p)
 		}
-		e.inFlight = append(e.inFlight, p)
+		e.inFlight = append(e.inFlight, h)
 	}
 	e.active = keep
 	e.stats.Sends += int64(len(e.inFlight))
@@ -638,17 +631,18 @@ func (e *Engine) stepCore() {
 	// transit arrivals — a bounded buffer dropping the arrival records
 	// a drop instead, and in unbounded mode tryEnqueue never refuses,
 	// so the counter is unchanged from the pre-bounded engine.
-	for _, p := range e.inFlight {
+	for _, h := range e.inFlight {
+		p := e.slab.Get(h)
 		p.Pos++
 		if p.Pos == len(p.Route) {
 			e.absorbed++
 			for _, ob := range e.absObs {
 				ob.OnAbsorb(e.now, p)
 			}
-			e.releasePacket(p)
+			e.slab.Release(h)
 			continue
 		}
-		if e.tryEnqueue(p, e.now) {
+		if e.tryEnqueue(h, p, e.now) {
 			e.stats.Receives++
 		}
 	}
@@ -661,18 +655,22 @@ func (e *Engine) stepCore() {
 	e.midStep = false
 }
 
-// Run executes n steps. When no observers are registered the per-step
-// dispatch loop is skipped entirely (the RunQuiet fast path); otherwise
-// every registered observer sees every step exactly once, as with
-// repeated Step calls.
+// Run executes n steps; every registered observer sees every step
+// exactly once, as with repeated Step calls. Wall-clock time is
+// accounted to StepStats.Nanos once per call, observer time included,
+// so with no observers registered Run(n) is RunQuiet(n).
 func (e *Engine) Run(n int64) {
-	if len(e.observers) == 0 {
-		e.RunQuiet(n)
+	if n <= 0 {
 		return
 	}
+	start := time.Now()
 	for i := int64(0); i < n; i++ {
-		e.Step()
+		e.stepCore()
+		for _, ob := range e.observers {
+			ob.OnStep(e)
+		}
 	}
+	e.stats.Nanos += time.Since(start).Nanoseconds()
 }
 
 // RunQuiet executes n steps without dispatching OnStep observers,
@@ -698,33 +696,25 @@ func (e *Engine) RunQuiet(n int64) {
 // have run; it reports whether pred fired. pred is evaluated at entry:
 // a predicate that already holds costs zero steps and zero observer
 // dispatches (previously the engine burned one step before looking).
-// Like Run, it skips the OnStep dispatch loop entirely when no
-// observers are registered (wall-clock time is then accounted to
-// StepStats.Nanos once for the whole run, pred evaluations included,
-// exactly as a manual stepCore loop timed as one batch would report);
-// event observers still fire either way.
+// Every registered observer sees every step exactly once, before pred
+// is evaluated for it; event observers fire as in Run. Wall-clock time
+// is accounted to StepStats.Nanos once for the whole run, observer
+// dispatch and pred evaluations included.
 func (e *Engine) RunUntil(pred func(e *Engine) bool, maxSteps int64) bool {
 	if pred(e) {
 		return true
 	}
-	if len(e.observers) == 0 {
-		start := time.Now()
-		defer func() { e.stats.Nanos += time.Since(start).Nanoseconds() }()
-		for i := int64(0); i < maxSteps; i++ {
-			e.stepCore()
-			if pred(e) {
-				return true
-			}
+	start := time.Now()
+	fired := false
+	for i := int64(0); i < maxSteps && !fired; i++ {
+		e.stepCore()
+		for _, ob := range e.observers {
+			ob.OnStep(e)
 		}
-		return false
+		fired = pred(e)
 	}
-	for i := int64(0); i < maxSteps; i++ {
-		e.Step()
-		if pred(e) {
-			return true
-		}
-	}
-	return false
+	e.stats.Nanos += time.Since(start).Nanoseconds()
+	return fired
 }
 
 // ExtendRoute appends ext to p's route. Allowed only from PreStep (at
@@ -754,8 +744,10 @@ func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) 
 
 // reroute replaces the suffix of p's route after its current edge with
 // suffix followed by ext. The route store builds the new route once per
-// distinct (old route, position, suffix, ext) within a step; it is
-// checked for contiguity and simplicity on every reroute.
+// distinct (old route, position, suffix, ext) within a step, and it is
+// checked for contiguity and simplicity once, when built: a memo hit
+// returns that same route, already checked against the same immutable
+// graph.
 func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.midStep {
 		panic(fmt.Sprintf("sim: reroute of %v during the send/receive/inject substeps; "+
@@ -766,16 +758,21 @@ func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.keyed != nil {
 		oldKey = e.keyed.SelectionKey(p)
 	}
-	route := e.routeStore().rerouted(old, p.Pos, suffix, ext, e.now)
-	if !e.cfg.SkipRouteCheck {
-		if !e.g.IsPath(route) {
-			panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",
-				p, e.g.RouteString(route)))
+	rs := e.routeStore()
+	route := rs.memoized(old, p.Pos, suffix, ext, e.now)
+	if route == nil {
+		route = rs.copy(old[:p.Pos+1], suffix, ext)
+		if !e.cfg.SkipRouteCheck {
+			if !e.g.IsPath(route) {
+				panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",
+					p, e.g.RouteString(route)))
+			}
+			if !e.paths.NodesDistinct(e.g, route) {
+				panic(fmt.Sprintf("sim: reroute of %v is not simple: %s",
+					p, e.g.RouteString(route)))
+			}
 		}
-		if !e.paths.NodesDistinct(e.g, route) {
-			panic(fmt.Sprintf("sim: reroute of %v is not simple: %s",
-				p, e.g.RouteString(route)))
-		}
+		rs.memoize(old, p.Pos, route)
 	}
 	if wasFinal, isFinal := p.Pos == len(old)-1, p.Pos == len(route)-1; wasFinal != isFinal {
 		// The packet sits in a buffer (reroutes are PreStep-only), so a

@@ -101,8 +101,8 @@ func (h keyHeap) siftDown(i int) {
 
 // popKeyed selects and removes the packet minimizing (SelectionKey,
 // EnqueueSeq) from the nonempty buffer of edge eid, discarding stale
-// heap entries (tombstones) along the way.
-func (e *Engine) popKeyed(eid graph.EdgeID) *packet.Packet {
+// heap entries (tombstones) along the way, and returns its handle.
+func (e *Engine) popKeyed(eid graph.EdgeID) packet.Handle {
 	buf := &e.buffers[eid]
 	h := &e.heaps[eid]
 	for len(*h) > 0 {

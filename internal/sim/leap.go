@@ -316,20 +316,20 @@ func (e *Engine) applyLeap(k int64, kind LeapKind) {
 		}
 		for j := 1; j <= d; j++ {
 			t := e.now + int64(j)
-			var p *packet.Packet
+			var h packet.Handle
 			switch {
 			case e.keyed != nil:
-				p = e.popKeyed(eid)
+				h = e.popKeyed(eid)
 			case e.polFor != nil:
-				p = buf.RemoveAt(e.polFor[eid].Select(buf, t))
+				h = buf.RemoveAt(e.polFor[eid].Select(buf, t))
 			default:
-				p = buf.RemoveAt(e.pol.Select(buf, t))
+				h = buf.RemoveAt(e.pol.Select(buf, t))
 			}
-			if res := t - p.ArrivedAt; res > e.maxResidence {
+			if res := t - e.slab.Get(h).ArrivedAt; res > e.maxResidence {
 				e.maxResidence = res
 			}
 			e.absorbed++
-			e.releasePacket(p)
+			e.slab.Release(h)
 		}
 		// Bulk occupancy-histogram update: this edge moved from level l
 		// to level l-d in one go (the step engine walked it through the

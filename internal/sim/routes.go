@@ -13,6 +13,13 @@ import (
 // the edges are equal, and a reroute memo builds one new route per
 // distinct old route, so a Lemma 3.3 batch extension of many packets
 // that share an old route builds one route, not one per packet.
+//
+// Validate once: last and memo hold only routes that passed the
+// engine's route checks against its graph (or were stored by an engine
+// that skips them). The engine records a route there only after its
+// check passes, so a check that panics — and is recovered by a caller —
+// leaves nothing unchecked behind, and a route found there is never
+// checked again.
 type routeStore struct {
 	arena []graph.EdgeID
 	// last[e] is the route last admitted with first edge e.
@@ -62,22 +69,40 @@ func (s *routeStore) copy(parts ...[]graph.EdgeID) []graph.EdgeID {
 	return s.arena[start : start+n : start+n]
 }
 
-// intern returns a stored route equal to route: the one last admitted
-// on the same first edge when its edges are equal, else a fresh copy
-// that becomes the one remembered for that edge.
-func (s *routeStore) intern(route []graph.EdgeID) []graph.EdgeID {
-	last := &s.last[route[0]]
-	if !slices.Equal(*last, route) {
-		*last = s.copy(route)
+// stored returns the route last admitted on route's first edge when
+// its edges equal route's, else nil.
+func (s *routeStore) stored(route []graph.EdgeID) []graph.EdgeID {
+	if len(route) == 0 || uint(route[0]) >= uint(len(s.last)) {
+		return nil
 	}
-	return *last
+	if last := s.last[route[0]]; slices.Equal(last, route) {
+		return last
+	}
+	return nil
 }
 
-// rerouted returns the route old[:pos+1] + suffix + ext for a reroute
-// at step now: the one the memo holds for (old, pos) when its tail
-// equals suffix + ext, else a fresh copy that replaces it. The memo is
-// emptied when the step changes or it reaches memoCap entries.
-func (s *routeStore) rerouted(old []graph.EdgeID, pos int, suffix, ext []graph.EdgeID, now int64) []graph.EdgeID {
+// store copies route, which passed the admission check, into the arena
+// and remembers it for its first edge.
+func (s *routeStore) store(route []graph.EdgeID) []graph.EdgeID {
+	r := s.copy(route)
+	s.last[route[0]] = r
+	return r
+}
+
+// intern returns a stored route equal to route, which passed the
+// admission check: the one stored for its first edge, else a new one.
+func (s *routeStore) intern(route []graph.EdgeID) []graph.EdgeID {
+	if r := s.stored(route); r != nil {
+		return r
+	}
+	return s.store(route)
+}
+
+// memoized returns the route the memo holds for a reroute of a packet
+// at pos on old to old[:pos+1] + suffix + ext at step now, or nil. The
+// memo is emptied first when the step changes or it reached memoCap
+// entries.
+func (s *routeStore) memoized(old []graph.EdgeID, pos int, suffix, ext []graph.EdgeID, now int64) []graph.EdgeID {
 	if s.memo == nil {
 		s.memo = make(map[rerouteKey][]graph.EdgeID)
 	}
@@ -85,14 +110,17 @@ func (s *routeStore) rerouted(old []graph.EdgeID, pos int, suffix, ext []graph.E
 		clear(s.memo)
 		s.memoAt = now
 	}
-	k := rerouteKey{old: &old[0], pos: pos}
-	if r, ok := s.memo[k]; ok {
+	if r, ok := s.memo[rerouteKey{old: &old[0], pos: pos}]; ok {
 		if tail := r[pos+1:]; len(tail) == len(suffix)+len(ext) &&
 			slices.Equal(tail[:len(suffix)], suffix) && slices.Equal(tail[len(suffix):], ext) {
 			return r
 		}
 	}
-	r := s.copy(old[:pos+1], suffix, ext)
-	s.memo[k] = r
-	return r
+	return nil
+}
+
+// memoize records route, built from old at pos by a reroute that passed
+// the route checks, replacing any earlier entry for (old, pos).
+func (s *routeStore) memoize(old []graph.EdgeID, pos int, route []graph.EdgeID) {
+	s.memo[rerouteKey{old: &old[0], pos: pos}] = route
 }
