@@ -8,15 +8,17 @@
 # package list also covers the leap engine (internal/sim leap windows,
 # adversary StaticUntil horizons, obs leap observers) — the
 # leap-vs-step differential property test runs under -race here.
-# Last, it vets and tests the perfbench module: it has its own go.mod,
-# so the root `go build ./...` never compiles it, and an API it uses
-# could otherwise be deleted unnoticed.
+# It runs every benchmark of the benchmarked packages once, so a
+# benchmark that no longer compiles or fails is caught. Last, it vets
+# and tests the perfbench module: it has its own go.mod, so the root
+# `go build ./...` never compiles it, and an API it uses could
+# otherwise be deleted unnoticed.
 
 GO ?= go
 
-.PHONY: verify test vet race perfbench-check ab bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
+.PHONY: verify test vet race bench-check perfbench-check ab bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
 
-verify: test vet race perfbench-check
+verify: test vet race bench-check perfbench-check
 
 test:
 	$(GO) build ./...
@@ -28,29 +30,35 @@ vet:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
 
+# Every engine, observer and pump-layer benchmark, once.
+bench-check:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/obs ./internal/adversary
+
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-# Paired same-host A/B of the end-to-end benchmark (tools/ab.sh): BASE,
-# a git revision checked out as a worktree under .ab_build/, against
-# the working tree on WORKLOAD, ROUNDS interleaved A-then-B runs on the
-# same seeds; prints per-round values and the median B/A ratio.
+# Paired same-host A/B (tools/ab.sh): BASE, a git revision checked
+# out as a worktree under .ab_build/, against the working tree, ROUNDS
+# interleaved rounds. `ab` runs the end-to-end benchmark on WORKLOAD
+# with the same seeds on both sides; prints per-round values and the
+# median B/A ratio with its bootstrap CI.
 BASE ?= HEAD
 WORKLOAD ?= pump
 ROUNDS ?= 5
 ab:
 	bash tools/ab.sh $(BASE) $(WORKLOAD) $(ROUNDS)
 
-# Emit a BENCH_<LABEL>.json trajectory point (default label: git short hash).
-LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
+# Every engine, observer and pump-layer benchmark at the default
+# benchtime.
 bench:
-	$(GO) run ./cmd/bench -label $(LABEL)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/obs ./internal/adversary
 
-# Diff the hot-path benchmarks against a previous trajectory point;
-# exits nonzero on >10% ns/op or any allocs/op regression.
-AGAINST ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+# The hot-path regression gate: the Step* benchmarks of internal/sim
+# and internal/obs paired against BASE (the ab micro workload); exits
+# nonzero on a >8% ns/op regression whose CI lies above 1, on any
+# allocs/op rise, or on a new B/op or allocs/op on a 0 path.
 bench-diff:
-	$(GO) run ./cmd/bench -against $(AGAINST)
+	bash tools/ab.sh $(BASE) micro $(ROUNDS)
 
 # Quick end-to-end pass over both cmd/sweep modes at full fan-out —
 # the same configurations cmd/sweep's golden tests pin byte-identical

@@ -7,8 +7,8 @@ import (
 	"aqt/internal/stability"
 )
 
-// benchGrid is the same 7-point rate grid cmd/bench's SweepParallel
-// pair measures: r = 0.5 .. 0.8 at depth 6.
+// benchGrid is a 7-point rate grid, r = 0.5 .. 0.8 at depth 6: the
+// cmd/sweep default shape.
 func benchGrid() []stability.Point {
 	pts := make([]stability.Point, 7)
 	for i := range pts {

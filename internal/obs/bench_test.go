@@ -11,9 +11,12 @@ import (
 	"aqt/internal/sim"
 )
 
-// The observability overhead pair, mirrored by cmd/bench's
-// StepTraced/StepMetered entries: the instrumented step must stay
-// allocation-free and within a small constant of StepRecorded.
+// Step with each observer of this package attached, on the
+// Step/Line32/FIFO traffic of internal/sim: the flight recorder on the
+// event hooks (StepTraced), the metrics Meter on the step hook
+// (StepMetered), the time-series Sampler (StepSampled) and the span
+// tracer (StepSpanTraced). Each must stay allocation-free; its ns/op
+// gap over internal/sim's Step/Line32/FIFO is its cost on the hot path.
 
 func benchEngine(b *testing.B, ob func(e *sim.Engine)) *sim.Engine {
 	g := graph.Line(32)
@@ -42,4 +45,26 @@ func BenchmarkStepMetered(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
+}
+
+func BenchmarkStepSampled(b *testing.B) {
+	b.Run("Line32/FIFO", func(b *testing.B) {
+		e := benchEngine(b, func(e *sim.Engine) {
+			obs.NewSampler(obs.SamplerConfig{Every: 4, MaxSamples: 512}).Attach(e)
+		})
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
+}
+
+func BenchmarkStepSpanTraced(b *testing.B) {
+	b.Run("Line32/FIFO", func(b *testing.B) {
+		e := benchEngine(b, func(e *sim.Engine) {
+			obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 16, Seed: 7}).Attach(e)
+		})
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
 }

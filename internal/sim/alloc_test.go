@@ -139,3 +139,35 @@ func TestBalancedRunAllocatesZeroBytes(t *testing.T) {
 		t.Errorf("backlog %d: the run is not balanced", e.TotalQueued())
 	}
 }
+
+// TestNewEngineAllocs pins what constructing an engine costs: the
+// short-lived per-probe engines of stability searches and sweeps pay
+// it once each. An unbounded Line(30)/FIFO engine takes 4 allocations
+// and 2464 bytes; leap-observer and bounded-mode state must not add to
+// that when unused. Bytes are the minimum over a few batches, since a
+// runtime background allocation can land inside one.
+func TestNewEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const wantAllocs, wantBytes = 4, 2464
+	g := graph.Line(30)
+	build := func() { sim.New(g, policy.FIFO{}, nil) }
+	if avg := testing.AllocsPerRun(100, build); avg != wantAllocs {
+		t.Errorf("sim.New: %v allocs, want %d", avg, wantAllocs)
+	}
+	const runs = 1000
+	bytes := uint64(1 << 63)
+	for trial := 0; trial < 5; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if bytes != wantBytes {
+		t.Errorf("sim.New: %d bytes, want %d", bytes, wantBytes)
+	}
+}

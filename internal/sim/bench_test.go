@@ -1,13 +1,16 @@
-// Engine hot-path microbenchmarks. BenchmarkStep crosses the three
-// policy shapes the engine special-cases (FIFO = ring-deque pop-front,
-// LIS = keyed heap fast path, NTG = keyed on remaining hops) with the
-// three topology regimes of the paper (Line, Ring, G_ε), all under
-// sustained random (w,r) traffic. Run with
+// Engine microbenchmarks. BenchmarkStep crosses the three policy
+// shapes the engine special-cases (FIFO = ring-deque pop-front, LIS =
+// keyed heap fast path, NTG = keyed on remaining hops) with the three
+// topology regimes of the paper (Line, Ring, G_ε), all under sustained
+// random (w,r) traffic; the other Step* benchmarks vary one knob of
+// that workload (an observer, rerouting, a seeded drain, a buffer cap,
+// leap mode). RunLeapE13 and the Checkpoint pair measure whole runs
+// and segment boundaries rather than single steps. Run with
 //
-//	go test -bench=Step -benchmem ./internal/sim
+//	go test -run '^$' -bench . -benchmem ./internal/sim
 //
-// and compare against the BENCH_*.json trajectory emitted by
-// cmd/bench.
+// and compare two revisions on one host with `make bench-diff
+// BASE=<rev>` (tools/ab.sh, workload micro).
 package sim_test
 
 import (
@@ -15,6 +18,7 @@ import (
 	"testing"
 
 	"aqt/internal/adversary"
+	"aqt/internal/core"
 	"aqt/internal/gadget"
 	"aqt/internal/graph"
 	"aqt/internal/obs"
@@ -186,4 +190,155 @@ func BenchmarkStepSeededFIFO(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkStepBounded runs the Step/Line32/FIFO traffic through
+// NewWithConfig, once with cap 0 (the unbounded control, which must
+// match Step/Line32/FIFO: the bounded branch costs nothing when off)
+// and once with a cap-8 drop-tail buffer (the capacity check plus drop
+// accounting on every enqueue). Both stay allocation-free.
+func BenchmarkStepBounded(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		cap  int
+		drop sim.DropPolicy
+	}{{"fifo", 0, nil}, {"droptail", 8, sim.DropTail{}}} {
+		b.Run("Line32/"+cfg.name, func(b *testing.B) {
+			g := graph.Line(32)
+			adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
+			e := sim.NewWithConfig(g, policy.FIFO{}, adv, sim.Config{BufferCap: cfg.cap, Drop: cfg.drop})
+			e.Run(256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkStepLeap runs a single-edge burst adversary (a 64-packet
+// burst every 32768 steps, all packets final on injection) over a
+// 2^17-step horizon, stepped and leaped. One op is the whole run, so
+// the ns/op ratio is the leap speedup on this workload. The per-packet
+// drain work is the same on both sides, so the burst stays small
+// relative to the idle gap for the skipped steps to dominate.
+func BenchmarkStepLeap(b *testing.B) {
+	const horizon = 1 << 17
+	g := graph.Line(8)
+	route := []graph.EdgeID{g.MustEdge("e1")}
+	for _, mode := range []string{"step", "leap"} {
+		b.Run("Burst/"+mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				adv := adversary.NewBurstScript(adversary.BurstStream{
+					Name: "burst", Start: 1, Period: 32768, Burst: 64,
+					Budget: -1, Route: route,
+				})
+				e := sim.New(g, policy.FIFO{}, adv)
+				b.StartTimer()
+				if mode == "leap" {
+					e.RunLeap(horizon)
+				} else {
+					e.Run(horizon)
+				}
+			}
+		})
+	}
+}
+
+// e13Horizon is the fixed horizon of the RunLeapE13 shape: one
+// Lemma 3.6 pump, its drain-out, and a long provably idle tail.
+const e13Horizon = 1 << 25
+
+// newE13Pump builds the long-horizon regime RunLeap exists for: one
+// depth-12 Lemma 3.6 pump at r = 1/2 on a seeded FIFO gadget chain,
+// the shape internal/stability and the E13/B1 runners drive through
+// RunLeap. The seed is the nearhalf scale (1000) rather than 4*S0: the
+// pump's per-packet work is paid identically stepped and leaped, so a
+// large seed would drown the idle tail the leap skips.
+func newE13Pump() *sim.Engine {
+	p := core.ParamsFor(rational.New(1, 2), 12)
+	c := gadget.NewChain(p.N, 2, false)
+	e := sim.New(c.G, policy.FIFO{}, nil)
+	c.SeedInvariant(e, 1, 1000)
+	var rep core.PumpReport
+	e.SetAdversary(adversary.NewSequence(core.PumpPhase(p, c, 1, nil, &rep)))
+	return e
+}
+
+// BenchmarkRunLeapE13 runs newE13Pump to e13Horizon, stepped and
+// leaped; one op is the whole run. The stepped side pays every step of
+// the horizon, the leaped side only the pump (TestRunLeapE13Coverage
+// pins the share it leaps).
+func BenchmarkRunLeapE13(b *testing.B) {
+	for _, mode := range []string{"step", "leap"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := newE13Pump()
+				b.StartTimer()
+				if mode == "leap" {
+					e.RunLeap(e13Horizon)
+				} else {
+					e.Run(e13Horizon)
+				}
+			}
+		})
+	}
+}
+
+// newCheckpointEngine is the Step/Line32/FIFO engine the checkpoint
+// pair captures and restores.
+func newCheckpointEngine() *sim.Engine {
+	g := graph.Line(32)
+	adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
+	return sim.New(g, policy.FIFO{}, adv)
+}
+
+// BenchmarkCheckpointSave is one full state capture plus JSON encode
+// of a warmed Line(32) engine under random (w,r) traffic. Checkpoints
+// run once per segment, not per step, so this pins absolute cost.
+func BenchmarkCheckpointSave(b *testing.B) {
+	b.Run("Line32", func(b *testing.B) {
+		e := newCheckpointEngine()
+		e.Run(2048)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cp, err := e.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = cp.Encode()
+		}
+	})
+}
+
+// BenchmarkCheckpointRestore is the full resume path of the same
+// engine: decode the document, build a fresh engine the same way, and
+// apply the state.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	b.Run("Line32", func(b *testing.B) {
+		src := newCheckpointEngine()
+		src.Run(2048)
+		cp, err := src.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := cp.Encode()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cp, err := sim.DecodeCheckpoint(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := newCheckpointEngine().Restore(cp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

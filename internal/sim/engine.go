@@ -267,8 +267,8 @@ type Engine struct {
 
 	// leapObs is backed by leapObsArr so that registering the usual one
 	// or two leap-aware observers costs no heap allocation — engine
-	// construction stays alloc-identical to the pre-leap engine (the
-	// per-probe alloc gate in cmd/bench counts it).
+	// construction stays alloc-identical to the pre-leap engine
+	// (TestNewEngineAllocs pins it).
 	leapObs    []LeapObserver
 	leapObsArr [4]LeapObserver
 }
@@ -310,8 +310,8 @@ func NewWithConfig(g *graph.Graph, pol policy.Policy, adv Adversary, cfg Config)
 	e.leapObs = e.leapObsArr[:0]
 	if cfg.BufferCap > 0 {
 		// Allocated only in bounded mode, so unbounded construction
-		// stays alloc-identical to the pre-bounded engine (the per-probe
-		// alloc gate in cmd/bench counts it).
+		// stays alloc-identical to the pre-bounded engine
+		// (TestNewEngineAllocs pins it).
 		e.dropsPerEdge = make([]int64, g.NumEdges())
 	}
 	if cfg.PolicyFor != nil {

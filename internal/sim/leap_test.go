@@ -398,3 +398,22 @@ func TestRunLeapZeroAndNegative(t *testing.T) {
 		t.Errorf("degenerate RunLeap moved the clock to %d", e.Now())
 	}
 }
+
+// TestRunLeapE13Coverage pins the long-horizon regime RunLeap exists
+// for (the BenchmarkRunLeapE13 shape): after one depth-12 pump, the
+// drain-out and idle tail of a 2^25-step horizon are leaped, so at
+// most 0.1% of the horizon is stepped one step at a time. A leap
+// window that stops being accepted shows here as lost coverage, on
+// any host.
+func TestRunLeapE13Coverage(t *testing.T) {
+	e := newE13Pump()
+	e.RunLeap(e13Horizon)
+	if got := e.Now(); got != e13Horizon {
+		t.Fatalf("clock %d after RunLeap(%d)", got, e13Horizon)
+	}
+	lp := e.Leaps()
+	if lp.Steps*1000 < e13Horizon*999 {
+		t.Errorf("leaped %d of %d steps (%.4f), want >= 99.9%% (windows %+v)",
+			lp.Steps, e13Horizon, float64(lp.Steps)/e13Horizon, lp)
+	}
+}
