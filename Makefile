@@ -60,67 +60,67 @@ bench:
 bench-diff:
 	bash tools/ab.sh $(BASE) micro $(ROUNDS)
 
-# Quick end-to-end pass over both cmd/sweep modes at full fan-out —
-# the same configurations cmd/sweep's golden tests pin byte-identical
-# across -workers settings.
+# Quick end-to-end pass over both `aqt sweep` modes at full fan-out —
+# the same configurations its golden tests in cmd/aqt pin
+# byte-identical across -workers settings.
 sweep-smoke:
-	$(GO) run ./cmd/sweep -n 6 -from 0.5 -to 0.8 -points 7 -scap 800 -workers 0
-	$(GO) run ./cmd/sweep -rate 0.7 -depths 3,4,6 -scap 800 -workers 0
+	$(GO) run ./cmd/aqt sweep -n 6 -from 0.5 -to 0.8 -points 7 -scap 800 -workers 0
+	$(GO) run ./cmd/aqt sweep -rate 0.7 -depths 3,4,6 -scap 800 -workers 0
 
 # Flight-recorder end-to-end smoke: trace a short run on the G_ε
-# instability graph; cmd/aqtsim self-validates the dump against the
+# instability graph; `aqt sim` self-validates the dump against the
 # JSONL schema (exit nonzero on a schema break).
 trace-smoke:
-	$(GO) run ./cmd/aqtsim -topo geps -size 4 -policy FIFO -w 20 -rate 1/4 -steps 2000 -trace /tmp/aqt-trace-smoke.jsonl -metrics
+	$(GO) run ./cmd/aqt sim -topo geps -size 4 -policy FIFO -w 20 -rate 1/4 -steps 2000 -trace /tmp/aqt-trace-smoke.jsonl -metrics
 
 # Leap-mode end-to-end smoke: the leap-vs-step differential tests plus
-# a long cmd/aqtsim run under the extremal burst adversary with -leap,
+# a long `aqt sim` run under the extremal burst adversary with -leap,
 # whose output (modulo ns/step) must match the stepped run exactly.
 leap-smoke:
 	$(GO) test ./internal/sim -run 'Leap' -count 1
-	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 512 -rate 1/4 -maxlen 3 -steps 100000 -leap
+	$(GO) run ./cmd/aqt sim -topo line -size 8 -adv burst -w 512 -rate 1/4 -maxlen 3 -steps 100000 -leap
 
 # Scenario end-to-end smoke: strict-validate every checked-in spec,
 # then build and run them all across the worker pool. Exit nonzero on
 # any validation error, run panic or failed post-run check.
 scenario-smoke:
-	$(GO) run ./cmd/scenario validate scenarios/*.json
-	$(GO) run ./cmd/scenario run -workers 0 scenarios/*.json
+	$(GO) run ./cmd/aqt scenario validate scenarios/*.json
+	$(GO) run ./cmd/aqt scenario run -workers 0 scenarios/*.json
 
 # Bounded-buffer end-to-end smoke: the drop-policy and leap-equivalence
 # differential tests, the E14 goodput-vs-capacity experiment in quick
-# mode, the bounded scenario spec, and a lossy cmd/aqtsim run under
+# mode, the bounded scenario spec, and a lossy `aqt sim` run under
 # -cap/-drop (exact per-edge drop accounting is checked in-process by
 # the engine's conservation law).
 drop-smoke:
 	$(GO) test ./internal/sim -run 'Drop|Bounded' -count 1
-	$(GO) run ./cmd/experiments -quick -only E14
-	$(GO) run ./cmd/scenario run scenarios/e14.json
-	$(GO) run ./cmd/aqtsim -topo line -size 4 -adv burst -w 20 -rate 1/4 -cap 1 -drop head -steps 2000
+	$(GO) run ./cmd/aqt experiments -quick -only E14
+	$(GO) run ./cmd/aqt scenario run scenarios/e14.json
+	$(GO) run ./cmd/aqt sim -topo line -size 4 -adv burst -w 20 -rate 1/4 -cap 1 -drop head -steps 2000
 
 # Checkpoint/restore end-to-end smoke: the corpus-wide resume
-# differential tests, then a cmd/aqtsim split run (800 + 1200 steps
+# differential tests, then an `aqt sim` split run (800 + 1200 steps
 # through a checkpoint file must match 2000 straight, modulo ns/step)
 # and a scenario run that both writes segment checkpoints and resumes
 # from the last one.
 checkpoint-smoke:
 	$(GO) test ./internal/scenario -run 'Checkpoint' -count 1
 	$(GO) test ./internal/sim -run 'Checkpoint' -count 1
-	$(GO) run ./cmd/aqtsim -topo ring -size 6 -steps 800 -seed 3 -checkpoint /tmp/aqt-ckpt-smoke.json
-	$(GO) run ./cmd/aqtsim -topo ring -size 6 -steps 1200 -seed 3 -restore /tmp/aqt-ckpt-smoke.json
-	$(GO) run ./cmd/scenario run -checkpoint-every 250 -checkpoint-dir /tmp/aqt-ckpt-smoke scenarios/quickstart.json
-	$(GO) run ./cmd/scenario run -restore /tmp/aqt-ckpt-smoke/quickstart-two-phase.ckpt.json scenarios/quickstart.json
+	$(GO) run ./cmd/aqt sim -topo ring -size 6 -steps 800 -seed 3 -checkpoint /tmp/aqt-ckpt-smoke.json
+	$(GO) run ./cmd/aqt sim -topo ring -size 6 -steps 1200 -seed 3 -restore /tmp/aqt-ckpt-smoke.json
+	$(GO) run ./cmd/aqt scenario run -checkpoint-every 250 -checkpoint-dir /tmp/aqt-ckpt-smoke scenarios/quickstart.json
+	$(GO) run ./cmd/aqt scenario run -restore /tmp/aqt-ckpt-smoke/quickstart-two-phase.ckpt.json scenarios/quickstart.json
 
 # Live-telemetry end-to-end smoke: serve scenario E13 over HTTP with
 # -serve-hold, poll /healthz until the server is up, scrape /metrics,
 # /series and /trace off the live server and check each carries its
-# expected content, then kill the server. The aqtsim run at the end
+# expected content, then kill the server. The `aqt sim` run at the end
 # exercises the sampler + span tracer through -trace, whose dump is
 # self-validated against the JSONL schema (exit nonzero on a break).
 TELEMETRY_ADDR ?= 127.0.0.1:9464
 telemetry-smoke:
-	$(GO) build -o /tmp/aqt-scenario-smoke ./cmd/scenario
-	/tmp/aqt-scenario-smoke run -serve $(TELEMETRY_ADDR) -serve-hold -sample-every 64 scenarios/e13.json & \
+	$(GO) build -o /tmp/aqt-smoke ./cmd/aqt
+	/tmp/aqt-smoke scenario run -serve $(TELEMETRY_ADDR) -serve-hold -sample-every 64 scenarios/e13.json & \
 	pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT; \
 	ok=; for i in $$(seq 1 100); do \
@@ -135,7 +135,7 @@ telemetry-smoke:
 	curl -fsS http://$(TELEMETRY_ADDR)/metrics | grep -q '^# TYPE aqt_' || { echo "telemetry-smoke: /metrics has no aqt_ families"; exit 1; }; \
 	curl -fsS http://$(TELEMETRY_ADDR)/trace >/dev/null || { echo "telemetry-smoke: /trace unreachable"; exit 1; }; \
 	echo "telemetry-smoke: live endpoints ok"
-	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 64 -rate 1/4 -steps 4000 -sample-every 16 -spans 1 -trace /tmp/aqt-telemetry-smoke.jsonl
+	$(GO) run ./cmd/aqt sim -topo line -size 8 -adv burst -w 64 -rate 1/4 -steps 4000 -sample-every 16 -spans 1 -trace /tmp/aqt-telemetry-smoke.jsonl
 
 # One 30s fuzz campaign per target. -fuzz takes one target per package
 # run, so every pattern is anchored: an unanchored name would also match

@@ -2,29 +2,26 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata golden files")
-
 // goldenFiles are the fast scenarios the golden test runs — every
 // topology/adversary family, none of the big replay corpora.
 var goldenFiles = []string{"quickstart", "b2", "e7", "e8", "u1"}
 
-// TestRunGoldenWorkerIndependent holds `scenario run` to two promises:
+// TestRunGoldenWorkerIndependent holds `aqt scenario run` to two promises:
 // the byte output is identical whether the files run on 1 worker or 8
 // (reports render in the workers, print in input order), and it
 // matches the checked-in golden transcript (full determinism across
-// runs and machines). Refresh with `go test ./cmd/scenario -update`.
+// runs and machines). Refresh with `go test ./cmd/aqt -update`.
 func TestRunGoldenWorkerIndependent(t *testing.T) {
 	var paths []string
 	for _, f := range goldenFiles {
 		p := filepath.Join("..", "..", "scenarios", f+".json")
 		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("missing scenario %s (run `go run ./cmd/scenario emit`): %v", f, err)
+			t.Fatalf("missing scenario %s (run `go run ./cmd/aqt scenario emit`): %v", f, err)
 		}
 		paths = append(paths, p)
 	}
@@ -32,7 +29,7 @@ func TestRunGoldenWorkerIndependent(t *testing.T) {
 	runWith := func(workers string) string {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		code := run(append([]string{"run", "-workers", workers}, paths...), &stdout, &stderr)
+		code := cmdScenario(append([]string{"run", "-workers", workers}, paths...), &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("run -workers %s exited %d\nstderr: %s\nstdout: %s",
 				workers, code, stderr.String(), stdout.String())
@@ -65,7 +62,7 @@ func TestRunGoldenWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestValidateCorpus runs `scenario validate` over every checked-in
+// TestValidateCorpus runs `aqt scenario validate` over every checked-in
 // scenario — the Go-level version of `make scenario-smoke`'s first half.
 func TestValidateCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
@@ -73,24 +70,43 @@ func TestValidateCorpus(t *testing.T) {
 		t.Fatalf("no scenario corpus: %v", err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run(append([]string{"validate"}, paths...), &stdout, &stderr); code != 0 {
+	if code := cmdScenario(append([]string{"validate"}, paths...), &stdout, &stderr); code != 0 {
 		t.Fatalf("validate exited %d:\n%s", code, stderr.String())
 	}
 }
 
-// TestUsage pins the exit codes for bad invocations.
+// TestUsage pins the exit codes for bad `aqt scenario` invocations.
 func TestUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 2 {
+	if code := cmdScenario(nil, &stdout, &stderr); code != 2 {
 		t.Errorf("no args: exit %d, want 2", code)
 	}
-	if code := run([]string{"frobnicate"}, &stdout, &stderr); code != 2 {
+	if code := cmdScenario([]string{"frobnicate"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown subcommand: exit %d, want 2", code)
 	}
-	if code := run([]string{"run"}, &stdout, &stderr); code != 2 {
+	if code := cmdScenario([]string{"run"}, &stdout, &stderr); code != 2 {
 		t.Errorf("run with no files: exit %d, want 2", code)
 	}
-	if code := run([]string{"validate", "/nonexistent/x.json"}, &stdout, &stderr); code != 1 {
+	if code := cmdScenario([]string{"validate", "/nonexistent/x.json"}, &stdout, &stderr); code != 1 {
 		t.Errorf("validate missing file: exit %d, want 1", code)
+	}
+}
+
+// TestRunServeSameReport: `-serve` runs the file through the same
+// per-file body as a plain run, with serve-only observers attached, so
+// the report is byte-identical.
+func TestRunServeSameReport(t *testing.T) {
+	path := filepath.Join("..", "..", "scenarios", "e13.json")
+	report := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := cmdScenario(append(append([]string{"run"}, args...), path), &stdout, &stderr); code != 0 {
+			t.Fatalf("run %v exited %d: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	plain, served := report(), report("-serve", "127.0.0.1:0", "-sample-every", "64")
+	if plain != served {
+		t.Errorf("served report differs:\n-- plain --\n%s\n-- served --\n%s", plain, served)
 	}
 }

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite the sweep golden files")
 
 // The two configurations below are the same ones `make sweep-smoke`
 // runs; the goldens pin their exact output, and the 1-vs-8 worker
@@ -18,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite the sweep golden files")
 func sweepOut(t *testing.T, args ...string) string {
 	t.Helper()
 	var out, errb strings.Builder
-	if code := run(args, &out, &errb); code != 0 {
+	if code := cmdSweep(args, &out, &errb); code != 0 {
 		t.Fatalf("sweep %v exited %d: %s", args, code, errb.String())
 	}
 	return out.String()
@@ -61,7 +58,7 @@ func TestDepthSweepDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSweepBadDepth(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"-rate", "0.7", "-depths", "3,x"}, &out, &errb); code != 2 {
+	if code := cmdSweep([]string{"-rate", "0.7", "-depths", "3,x"}, &out, &errb); code != 2 {
 		t.Fatalf("bad depth exited %d, want 2 (stderr: %s)", code, errb.String())
 	}
 	if !strings.Contains(errb.String(), "bad depth") {

@@ -133,20 +133,14 @@ func RunDepthPump(r rational.Rat, n int, sCap int64) DepthPumpResult {
 }
 
 // PumpGrid runs RunDepthPump at every (rate, depth) probe point across
-// a stability.SweepGrid worker pool (workers <= 0 means GOMAXPROCS).
+// a stability.SweepGridOpt worker pool (workers <= 0 means GOMAXPROCS).
 // Each probe builds its own chain, engine and adversary — workers never
 // share simulator state — and results come back in input order, so a
 // sweep's output is identical at any worker count. A probe that panics
 // reports it in its own GridResult instead of sinking the sweep.
-func PumpGrid(points []stability.Point, sCap int64, workers int) []stability.GridResult[stability.Point, DepthPumpResult] {
-	return PumpGridOpt(points, sCap, workers, nil)
-}
-
-// PumpGridOpt is PumpGrid with sweep telemetry: onProgress (nil =
-// none) receives probe start/finish reports — the hook behind
-// cmd/sweep's -progress status line. Results are identical to
-// PumpGrid at any worker count.
-func PumpGridOpt(points []stability.Point, sCap int64, workers int, onProgress obs.ProgressFunc) []stability.GridResult[stability.Point, DepthPumpResult] {
+// onProgress (nil = none) receives probe start/finish reports — the
+// hook behind `aqt sweep -progress`.
+func PumpGrid(points []stability.Point, sCap int64, workers int, onProgress obs.ProgressFunc) []stability.GridResult[stability.Point, DepthPumpResult] {
 	return stability.SweepGridOpt(points, func(p stability.Point) DepthPumpResult {
 		return RunDepthPump(p.Rate, p.Depth, sCap)
 	}, workers, onProgress)

@@ -8,7 +8,7 @@ import (
 )
 
 // benchGrid is a 7-point rate grid, r = 0.5 .. 0.8 at depth 6: the
-// cmd/sweep default shape.
+// `aqt sweep` default shape.
 func benchGrid() []stability.Point {
 	pts := make([]stability.Point, 7)
 	for i := range pts {
@@ -22,7 +22,7 @@ func benchmarkPumpGrid(b *testing.B, workers int) {
 	pts := benchGrid()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := PumpGrid(pts, 400, workers)
+		res := PumpGrid(pts, 400, workers, nil)
 		for _, r := range res {
 			if r.Panic != "" {
 				b.Fatalf("probe %v panicked: %s", r.Point, r.Panic)

@@ -36,7 +36,7 @@ func experimentsSection(t *testing.T, id string) string {
 }
 
 // regenerated runs the runner at full (non-quick) sizing and renders
-// its markdown exactly as cmd/experiments does for EXPERIMENTS.md.
+// its markdown exactly as `aqt experiments` does for EXPERIMENTS.md.
 func regenerated(t *testing.T, id string) string {
 	t.Helper()
 	r := ByID(id)

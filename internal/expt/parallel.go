@@ -23,18 +23,12 @@ type Result struct {
 // Every experiment is independent (each builds its own graphs and
 // engines), so the fan-out is embarrassingly parallel; a crashed
 // runner is reported in its Result rather than taking the pool down.
-func RunAll(runners []Runner, q Quick, workers int) []Result {
-	results, _ := RunAllTelemetry(runners, q, workers, nil)
-	return results
-}
-
-// RunAllTelemetry is RunAll with harness telemetry: the runners fan
-// out through stability.SweepGridOpt, so onProgress (nil = none)
-// receives its per-runner start/finish reports (the -progress status
-// line). The returned Snapshot holds the harness metrics — runner
-// wall-clock, table row counts, failure/panic tallies — recorded from
-// the ordered results after the pool drains.
-func RunAllTelemetry(runners []Runner, q Quick, workers int, onProgress obs.ProgressFunc) ([]Result, obs.Snapshot) {
+// The runners fan out through stability.SweepGridOpt, so onProgress
+// (nil = none) receives its per-runner start/finish reports (the
+// -progress status line). The returned Snapshot holds the harness
+// metrics — runner wall-clock, table row counts, failure/panic tallies
+// — recorded from the ordered results after the pool drains.
+func RunAll(runners []Runner, q Quick, workers int, onProgress obs.ProgressFunc) ([]Result, obs.Snapshot) {
 	grid := stability.SweepGridOpt(runners, func(r Runner) Result { return runOne(r, q) }, workers, onProgress)
 	reg := obs.NewRegistry()
 	elapsed := reg.Histogram("expt.elapsed_ms")

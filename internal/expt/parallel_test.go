@@ -26,7 +26,7 @@ func TestRunAllOrderAndVerdicts(t *testing.T) {
 		fakeRunner("X2", false, 0),
 		fakeRunner("X3", true, time.Millisecond),
 	}
-	results := RunAll(rs, true, 3)
+	results, _ := RunAll(rs, true, 3, nil)
 	if len(results) != 3 {
 		t.Fatalf("%d results", len(results))
 	}
@@ -77,7 +77,7 @@ func TestRunAllRecoversPanics(t *testing.T) {
 		fakeRunner("X1", true, 0),
 		{ID: "XP", Name: "panicker", Run: func(Quick) *Table { panic("boom") }},
 	}
-	results := RunAll(rs, true, 2)
+	results, _ := RunAll(rs, true, 2, nil)
 	if results[1].Panic != "boom" {
 		t.Errorf("panic not captured: %+v", results[1])
 	}
@@ -91,13 +91,13 @@ func TestRunAllRecoversPanics(t *testing.T) {
 
 func TestRunAllSequentialAndOversized(t *testing.T) {
 	rs := []Runner{fakeRunner("X1", true, 0)}
-	if got := RunAll(rs, true, 1); len(got) != 1 || !got[0].Table.OK {
+	if got, _ := RunAll(rs, true, 1, nil); len(got) != 1 || !got[0].Table.OK {
 		t.Error("sequential run failed")
 	}
-	if got := RunAll(rs, true, 64); len(got) != 1 {
+	if got, _ := RunAll(rs, true, 64, nil); len(got) != 1 {
 		t.Error("oversized pool failed")
 	}
-	if got := RunAll(rs, true, 0); len(got) != 1 {
+	if got, _ := RunAll(rs, true, 0, nil); len(got) != 1 {
 		t.Error("default pool failed")
 	}
 }
@@ -112,7 +112,7 @@ func TestRunAllActuallyParallel(t *testing.T) {
 		fakeRunner("X4", true, 40*time.Millisecond),
 	}
 	start := time.Now()
-	RunAll(rs, true, 4)
+	RunAll(rs, true, 4, nil)
 	if elapsed := time.Since(start); elapsed > 120*time.Millisecond {
 		t.Errorf("parallel run took %v; expected ~40ms", elapsed)
 	}
@@ -132,7 +132,7 @@ func TestRunAllTelemetry(t *testing.T) {
 		last  obs.SweepProgress
 		count int
 	)
-	results, snap := RunAllTelemetry(rs, true, 2, func(p obs.SweepProgress) {
+	results, snap := RunAll(rs, true, 2, func(p obs.SweepProgress) {
 		mu.Lock()
 		defer mu.Unlock()
 		if p.Done+p.InFlight > p.Total {

@@ -156,7 +156,7 @@ func (r *FlightRecorder) OnMarker(t int64, label string) {
 }
 
 // Mark records a marker event directly — for harnesses that trace
-// their own lifecycle without an engine (cmd/experiments).
+// their own lifecycle without an engine (`aqt experiments`).
 func (r *FlightRecorder) Mark(t int64, label string) { r.OnMarker(t, label) }
 
 // AcceptLeap implements sim.LeapObserver. The recorder accepts both

@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// SweepProgress is one progress report from a parallel probe layer
-// (stability.SweepGridOpt, which also runs expt.RunAllTelemetry's
-// experiments, and stability.ParallelThresholdSearchOpt). Emitted on
-// every probe start and finish.
+// SweepProgress is one progress report from stability.SweepGridOpt,
+// the parallel probe layer that also runs expt.RunAll's experiments
+// and baselines.PumpGrid's probes. Emitted on every probe start and
+// finish.
 type SweepProgress struct {
 	// Done counts finished probes; Total is the number of probes the
-	// sweep will run (for a threshold search, an upper estimate that is
-	// corrected downwards on early resolution).
+	// sweep will run.
 	Done, Total int
 	// InFlight counts probes currently running.
 	InFlight int
@@ -27,11 +26,9 @@ type SweepProgress struct {
 
 // ETA estimates the remaining wall-clock time from the mean pace of
 // the finished probes. It returns 0 — "no estimate" — until a probe
-// finishes, when the sweep is already complete or over-complete
-// (Total <= Done, as after an early-resolved search corrected Total
-// downwards), and for degenerate reports (non-positive Done or
-// Elapsed), so a malformed report can never yield a negative or
-// divide-by-zero ETA.
+// finishes, when the sweep is already complete (Total <= Done), and
+// for degenerate reports (non-positive Done or Elapsed), so a
+// malformed report can never yield a negative or divide-by-zero ETA.
 func (p SweepProgress) ETA() time.Duration {
 	if p.Done <= 0 || p.Total <= p.Done || p.Elapsed <= 0 {
 		return 0

@@ -122,7 +122,7 @@ func (s *Server) PublishTelemetry(now int64, reg *Registry, sam *Sampler, sp *Sp
 
 // PublishSnapshot replaces the served metrics snapshot — the
 // sweep-side publisher for harnesses that aggregate Registry
-// snapshots instead of running a Sampler (cmd/experiments).
+// snapshots instead of running a Sampler (`aqt experiments`).
 func (s *Server) PublishSnapshot(snap Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,10 +1,9 @@
 // Serializable dynamic state for the observability layer: registry
 // contents (with explicit histogram buckets — HistogramSnapshot's
 // bucket array is deliberately excluded from its JSON form, so
-// checkpoints carry a dedicated shape), meter progress and the flight
-// recorder ring. Restore methods validate hostile payloads with
-// errors, never panics: they are reachable from fuzzed checkpoint
-// documents.
+// checkpoints carry a dedicated shape) and meter progress. Restore
+// methods validate hostile payloads with errors, never panics: they
+// are reachable from fuzzed checkpoint documents.
 package obs
 
 import (
@@ -134,55 +133,5 @@ func (m *Meter) RestoreState(st MeterState) error {
 			m.dropHops = m.reg.Histogram("sim.drop_hops")
 		}
 	}
-	return nil
-}
-
-// FlightState is the serializable state of a FlightRecorder: the ring
-// capacity, the total ever recorded, the retained events in
-// chronological order, and the auto-dump latch. The AutoDump writer
-// itself is runtime wiring, not state.
-type FlightState struct {
-	Cap    int     `json:"cap"`
-	Total  uint64  `json:"total"`
-	Dumped bool    `json:"dumped,omitempty"`
-	Events []Event `json:"events,omitempty"`
-}
-
-// CheckpointState extracts the recorder's state.
-func (r *FlightRecorder) CheckpointState() FlightState {
-	return FlightState{
-		Cap:    len(r.ring),
-		Total:  r.total,
-		Dumped: r.dumped,
-		Events: r.Events(),
-	}
-}
-
-// maxFlightCap bounds a restored ring allocation (hostile input).
-const maxFlightCap = 1 << 24
-
-// RestoreState overwrites the recorder with a previously extracted
-// state, rebuilding the ring at the same indices (events re-recorded
-// from Total-len(Events) onward), so subsequent overwrites land
-// exactly where they would have in the uninterrupted run.
-func (r *FlightRecorder) RestoreState(st FlightState) error {
-	if st.Cap < 16 || st.Cap > maxFlightCap {
-		return fmt.Errorf("flight state: cap %d outside [16,%d]", st.Cap, maxFlightCap)
-	}
-	want := st.Total
-	if want > uint64(st.Cap) {
-		want = uint64(st.Cap)
-	}
-	if uint64(len(st.Events)) != want {
-		return fmt.Errorf("flight state: %d events retained, want min(total=%d, cap=%d) = %d",
-			len(st.Events), st.Total, st.Cap, want)
-	}
-	r.ring = make([]Event, st.Cap)
-	r.total = st.Total - uint64(len(st.Events))
-	for _, ev := range st.Events {
-		r.record(ev)
-	}
-	r.dumped = st.Dumped
-	r.DumpErr = nil
 	return nil
 }

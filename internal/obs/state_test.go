@@ -61,49 +61,6 @@ func TestRegistryStateRejects(t *testing.T) {
 	}
 }
 
-// TestFlightStateRoundTrip: the ring must rebuild at identical indices
-// (same retained events, same total) both before and after wraparound.
-func TestFlightStateRoundTrip(t *testing.T) {
-	for _, n := range []int{5, 16, 40} { // below, at, past a 16-ring
-		src := NewFlightRecorder(16)
-		for i := 0; i < n; i++ {
-			src.RecordFailure(int64(i), "x")
-		}
-		st := src.CheckpointState()
-		dst := NewFlightRecorder(16)
-		if err := dst.RestoreState(st); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !reflect.DeepEqual(src.Events(), dst.Events()) {
-			t.Fatalf("n=%d: events differ", n)
-		}
-		// Subsequent records must land where the uninterrupted recorder
-		// would put them.
-		src.RecordFailure(999, "y")
-		dst.RecordFailure(999, "y")
-		if !reflect.DeepEqual(src.Events(), dst.Events()) {
-			t.Fatalf("n=%d: post-restore events diverge", n)
-		}
-	}
-}
-
-// TestFlightStateRejects: retained-event counts inconsistent with
-// (total, cap) must be refused, as must hostile capacities.
-func TestFlightStateRejects(t *testing.T) {
-	cases := []FlightState{
-		{Cap: 8, Total: 0},                               // cap below min
-		{Cap: 1 << 25, Total: 0},                         // cap above bound
-		{Cap: 16, Total: 3, Events: make([]Event, 2)},    // too few retained
-		{Cap: 16, Total: 3, Events: make([]Event, 4)},    // too many retained
-		{Cap: 16, Total: 100, Events: make([]Event, 15)}, // wrapped ring must be full
-	}
-	for i, st := range cases {
-		if err := NewFlightRecorder(16).RestoreState(st); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 // TestMeterStateFinishLatch: the Finish latch must survive the round
 // trip so a restored meter does not double-finalize derived metrics.
 func TestMeterStateFinishLatch(t *testing.T) {

@@ -143,7 +143,7 @@ func build(c ctx, s *Spec) (*Built, error) {
 	return b, nil
 }
 
-// samplerStride matches cmd/aqtsim's sizing: ~512 samples per run.
+// samplerStride matches `aqt sim`'s sizing: ~512 samples per run.
 func samplerStride(steps int64) int64 {
 	if s := steps / 512; s > 1 {
 		return s

@@ -119,7 +119,7 @@ func checkpointSplit(t *testing.T, base *Spec, mode string, k, total int64) *Bui
 func TestCheckpointResumeCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario corpus (run `go run ./cmd/scenario emit`): %v", err)
+		t.Fatalf("no scenario corpus (run `go run ./cmd/aqt scenario emit`): %v", err)
 	}
 	for _, path := range paths {
 		path := path
@@ -156,7 +156,7 @@ func TestCheckpointResumeCorpus(t *testing.T) {
 func TestCheckpointResumeTelemetryObservers(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario corpus (run `go run ./cmd/scenario emit`): %v", err)
+		t.Fatalf("no scenario corpus (run `go run ./cmd/aqt scenario emit`): %v", err)
 	}
 	for _, path := range paths {
 		path := path

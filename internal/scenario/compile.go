@@ -289,6 +289,27 @@ func buildTopology(c ctx, t TopologySpec) (g *graph.Graph, err error) {
 	}
 }
 
+// NamedTopology builds the command-line topology name at one size
+// parameter, under the same size caps and builder checks as a spec:
+// ring, line and complete take n = size, grid is size×size, dag has
+// size nodes and 2·size edges (seed 11), and geps is the paper's G_ε,
+// a stitched chain of 3 gadgets of depth max(size, 3).
+func NamedTopology(name string, size int) (*graph.Graph, error) {
+	t := TopologySpec{Kind: name, N: size}
+	switch name {
+	case "ring", "line", "complete":
+	case "grid":
+		t.Rows, t.Cols = size, size
+	case "dag":
+		t.M, t.Seed = 2*size, 11
+	case "geps":
+		t = TopologySpec{Kind: "chain", N: max(size, 3), M: 3, Stitch: true}
+	default:
+		return nil, fmt.Errorf("unknown topology %q (ring|line|complete|grid|dag|geps)", name)
+	}
+	return buildTopology(ctx{}, t)
+}
+
 // resolveEdge resolves an edge reference: a name registered by the
 // topology builder, or "#<id>" for unnamed edges.
 func resolveEdge(g *graph.Graph, ref string) (graph.EdgeID, error) {

@@ -8,7 +8,7 @@ import (
 // WriteReport renders the run outcome deterministically: no wall-clock
 // fields, no map iteration, stable field order — the same spec and the
 // same binary produce byte-identical output regardless of worker count
-// or machine. cmd/scenario's golden test holds it to that.
+// or machine. cmd/aqt's golden test holds it to that.
 func (b *Built) WriteReport(w io.Writer, out Outcome) {
 	s := b.Spec
 	fmt.Fprintf(w, "scenario %s", s.Name)

@@ -57,7 +57,7 @@ type Spec struct {
 	Seeds []SeedSpec `json:"seeds,omitempty"`
 	Run   RunSpec    `json:"run"`
 	// Checks are evaluated after the run; a failed check makes the run
-	// report (and cmd/scenario run) fail without panicking.
+	// report (and `aqt scenario run`) fail without panicking.
 	Checks *ChecksSpec `json:"checks,omitempty"`
 }
 

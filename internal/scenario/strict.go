@@ -242,7 +242,7 @@ func structFields(typ reflect.Type) map[string]reflect.Type {
 }
 
 // init prebuilds the field cache for every spec type so concurrent
-// Parse calls (cmd/scenario run fans files across workers) never race
+// Parse calls (`aqt scenario run` fans files across workers) never race
 // on the map.
 func init() {
 	var seed func(t reflect.Type)

@@ -28,7 +28,7 @@ import (
 func TestUnboundedEquivalenceCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario corpus (run `go run ./cmd/scenario emit`): %v", err)
+		t.Fatalf("no scenario corpus (run `go run ./cmd/aqt scenario emit`): %v", err)
 	}
 	variants := []*BufferSpec{
 		{Cap: 0},

@@ -97,8 +97,8 @@ func SweepGridOpt[P, V any](points []P, probe func(P) V, workers int, onProgress
 }
 
 // progTracker aggregates one sweep's progress counters and serializes
-// emission to the caller's ProgressFunc. A nil tracker no-ops, so the
-// probe loops stay branch-cheap without telemetry.
+// emission to the caller's ProgressFunc. newProgTracker returns nil
+// without a ProgressFunc, and the probe loop then skips it.
 type progTracker struct {
 	mu       sync.Mutex
 	fn       obs.ProgressFunc
@@ -117,67 +117,19 @@ func newProgTracker(fn obs.ProgressFunc, total int) *progTracker {
 }
 
 func (p *progTracker) begin() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.inFlight++
-	if p.done+p.inFlight > p.total {
-		// Speculative probes can outrun the bisection estimate (and a
-		// worker may dequeue one after resolution capped the total);
-		// keep total >= done+inFlight so reports — and the ETA derived
-		// from them — stay sane. Exact totals (SweepGrid) never hit this.
-		p.total = p.done + p.inFlight
-	}
 	p.emit()
 	p.mu.Unlock()
 }
 
 func (p *progTracker) end(d time.Duration) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.inFlight--
 	p.done++
 	if d > p.slowest {
 		p.slowest = d
 	}
-	if p.done > p.total {
-		// Speculative probes can exceed the bisection estimate.
-		p.total = p.done
-	}
-	p.emit()
-	p.mu.Unlock()
-}
-
-// resolve caps the total at the probes already finished or in flight:
-// the search's answer is known, so the worst-case bisection estimate
-// no longer applies. Without this, reports emitted while close() joins
-// the in-flight speculative probes would still carry the stale
-// estimate, and a consumer's ETA would count phantom remaining probes
-// until the very last report (the finish() correction).
-func (p *progTracker) resolve() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if t := p.done + p.inFlight; t < p.total {
-		p.total = t
-		p.emit()
-	}
-	p.mu.Unlock()
-}
-
-// finish corrects the total downwards when a search resolved early
-// (fewer probes consumed than estimated) and emits the final report.
-func (p *progTracker) finish() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.total = p.done
-	p.inFlight = 0
 	p.emit()
 	p.mu.Unlock()
 }
@@ -215,16 +167,6 @@ func gridProbe[P, V any](res *GridResult[P, V], probe func(P) V) {
 // sequential search would have hit it (panics at purely speculative
 // points the sequential search never reaches are discarded).
 func ParallelThresholdSearch(probe func(rate rational.Rat) Verdict, lo, hi rational.Rat, bits, workers int) rational.Rat {
-	return ParallelThresholdSearchOpt(probe, lo, hi, bits, workers, nil)
-}
-
-// ParallelThresholdSearchOpt is ParallelThresholdSearch with sweep
-// telemetry: onProgress (nil = none) receives probe start/finish
-// reports whose Total is the worst-case bisection probe count
-// (2 endpoint probes + one per halving); early resolution corrects it
-// downwards in the final report, and speculative probes beyond the
-// estimate push it up. The search result is unaffected.
-func ParallelThresholdSearchOpt(probe func(rate rational.Rat) Verdict, lo, hi rational.Rat, bits, workers int, onProgress obs.ProgressFunc) rational.Rat {
 	loI, hiI, den := snapGrid(lo, hi, bits)
 	if hiI < loI {
 		return rational.New(hiI+1, den)
@@ -232,8 +174,6 @@ func ParallelThresholdSearchOpt(probe func(rate rational.Rat) Verdict, lo, hi ra
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	prog := newProgTracker(onProgress, bisectionProbeEstimate(loI, hiI))
-	defer prog.finish()
 	st := searchState{loI: loI, hiI: hiI}
 	if workers <= 1 {
 		// A 1-worker pool has no speculation to offer; run the decision
@@ -241,18 +181,13 @@ func ParallelThresholdSearchOpt(probe func(rate rational.Rat) Verdict, lo, hi ra
 		for {
 			idx, done, result := st.need()
 			if done {
-				prog.resolve()
 				return rational.New(result, den)
 			}
-			prog.begin()
-			t0 := time.Now()
-			v := probe(rational.New(idx, den))
-			prog.end(time.Since(t0))
-			st = st.advance(v == Diverging)
+			st = st.advance(probe(rational.New(idx, den)) == Diverging)
 		}
 	}
 
-	s := &speculator{probe: probe, den: den, cells: make(map[int64]*specCell), prog: prog}
+	s := &speculator{probe: probe, den: den, cells: make(map[int64]*specCell)}
 	s.cond = sync.NewCond(&s.mu)
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -262,23 +197,11 @@ func ParallelThresholdSearchOpt(probe func(rate rational.Rat) Verdict, lo, hi ra
 	for {
 		idx, done, result := st.need()
 		if done {
-			prog.resolve()
 			return rational.New(result, den)
 		}
 		s.schedule(frontier(st, workers))
 		st = st.advance(s.await(idx))
 	}
-}
-
-// bisectionProbeEstimate returns the worst-case number of probes the
-// sequential decision sequence consumes: both endpoints plus one per
-// halving of the grid interval.
-func bisectionProbeEstimate(loI, hiI int64) int {
-	est := 2
-	for w := hiI - loI; w > 1; w = (w + 1) / 2 {
-		est++
-	}
-	return est
 }
 
 // frontier lists up to max distinct grid indices the search may probe
@@ -316,7 +239,6 @@ func frontier(st searchState, max int) []int64 {
 type speculator struct {
 	probe func(rational.Rat) Verdict
 	den   int64
-	prog  *progTracker // nil = no telemetry
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -390,10 +312,7 @@ func (s *speculator) worker() {
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
 
-		s.prog.begin()
-		t0 := time.Now()
 		diverges, panicVal, panicked := s.runProbe(idx)
-		s.prog.end(time.Since(t0))
 
 		s.mu.Lock()
 		cell := s.cells[idx]

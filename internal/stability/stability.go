@@ -198,11 +198,6 @@ func Run(eng *sim.Engine, steps, stride int64, growthThreshold float64) RunRepor
 	// per-step execution, bit-identically either way. The sampler
 	// reconstructs its samples and peak across leaped windows.
 	eng.RunLeap(steps)
-	return report(eng, sam, growthThreshold)
-}
-
-// report classifies the sampler's backlog series at the end of a run.
-func report(eng *sim.Engine, sam *obs.Sampler, growthThreshold float64) RunReport {
 	return RunReport{
 		Verdict:    Classify(sam.Backlog(), growthThreshold),
 		PeakTotal:  sam.PeakTotal(),

@@ -25,7 +25,10 @@
 # The micro workload is the hot-path regression gate. It builds the
 # `go test -c` binaries of internal/sim and internal/obs and lists
 # their Step* benchmarks; each round runs every entry on both sides
-# back to back (-benchmem, 1s each), in the round's order. Every
+# back to back (-benchmem), in the round's order. Round 1 runs each
+# entry for 1s; later rounds run it for the iteration count it reached
+# on side A in round 1 (-test.benchtime <N>x), so they skip go test's
+# b.N ramp. Every
 # entry's ns/op, B/op and allocs/op is a metric. It exits nonzero,
 # naming the entries, when an entry's median B/A ns/op ratio exceeds
 # 1.08 and its interval lies above 1, when an entry's median allocs/op
@@ -98,14 +101,22 @@ if [ "$workload" = micro ]; then
 fi
 
 rm -f "$out"/run-*
+declare -A iters # "<pkg> <pattern>" -> <N>x, from side A in round 1
 for i in $(seq 1 "$rounds"); do
 	s=$((seed + i - 1))
 	order="a b"
 	[ $((i % 2)) -eq 0 ] && order="b a"
 	if [ "$workload" = micro ]; then
 		while read -r pkg pat; do
+			key="$pkg $pat" bt=1s
+			[ "$i" -gt 1 ] && bt=${iters[$key]:-1s}
 			for side in $order; do
-				micro_bench "$side" "$pkg" "$pat" 1s >>"$out/run-$side-$i.txt"
+				res=$(micro_bench "$side" "$pkg" "$pat" "$bt")
+				echo "$res" >>"$out/run-$side-$i.txt"
+				if [ "$i" -eq 1 ] && [ "$side" = a ]; then
+					n=$(awk '$1 ~ /^Benchmark/ { print $2; exit }' <<<"$res")
+					if [ -n "$n" ]; then iters[$key]=${n}x; fi
+				fi
 			done
 		done <<<"$entries"
 		# Metric "<entry> <unit>" for the units ns/op, B/op, allocs/op.
