@@ -99,17 +99,27 @@ drop-smoke:
 	$(GO) run ./cmd/aqt sim -topo line -size 4 -adv burst -w 20 -rate 1/4 -cap 1 -drop head -steps 2000
 
 # Checkpoint/restore end-to-end smoke: the corpus-wide resume
-# differential tests, then an `aqt sim` split run (800 + 1200 steps
-# through a checkpoint file must match 2000 straight, modulo ns/step)
-# and a scenario run that both writes segment checkpoints and resumes
-# from the last one.
+# differential tests, then two diffs that fail the target on any
+# difference. An `aqt sim` split run (800 steps, a checkpoint file,
+# then 1200 more) must print what a straight 2000-step run prints, less
+# the ns/step figure and the "restored …" / "checkpoint written …"
+# lines; and a scenario report resumed from a -checkpoint-every 250
+# checkpoint must equal a plain run's report.
+CKPT_SMOKE = /tmp/aqt-ckpt-smoke
+CKPT_FILTER = sed -E -e 's/, [^,]* ns\/step$$//' -e '/^(restored |checkpoint written )/d'
 checkpoint-smoke:
 	$(GO) test ./internal/scenario -run 'Checkpoint' -count 1
 	$(GO) test ./internal/sim -run 'Checkpoint' -count 1
-	$(GO) run ./cmd/aqt sim -topo ring -size 6 -steps 800 -seed 3 -checkpoint /tmp/aqt-ckpt-smoke.json
-	$(GO) run ./cmd/aqt sim -topo ring -size 6 -steps 1200 -seed 3 -restore /tmp/aqt-ckpt-smoke.json
-	$(GO) run ./cmd/aqt scenario run -checkpoint-every 250 -checkpoint-dir /tmp/aqt-ckpt-smoke scenarios/quickstart.json
-	$(GO) run ./cmd/aqt scenario run -restore /tmp/aqt-ckpt-smoke/quickstart-two-phase.ckpt.json scenarios/quickstart.json
+	rm -rf $(CKPT_SMOKE) && mkdir -p $(CKPT_SMOKE)
+	$(GO) build -o $(CKPT_SMOKE)/aqt ./cmd/aqt
+	$(CKPT_SMOKE)/aqt sim -topo ring -size 6 -steps 2000 -seed 3 | $(CKPT_FILTER) > $(CKPT_SMOKE)/straight.txt
+	$(CKPT_SMOKE)/aqt sim -topo ring -size 6 -steps 800 -seed 3 -checkpoint $(CKPT_SMOKE)/sim.ckpt.json > /dev/null
+	$(CKPT_SMOKE)/aqt sim -topo ring -size 6 -steps 1200 -seed 3 -restore $(CKPT_SMOKE)/sim.ckpt.json | $(CKPT_FILTER) > $(CKPT_SMOKE)/split.txt
+	diff $(CKPT_SMOKE)/straight.txt $(CKPT_SMOKE)/split.txt
+	$(CKPT_SMOKE)/aqt scenario run scenarios/quickstart.json > $(CKPT_SMOKE)/plain.txt
+	$(CKPT_SMOKE)/aqt scenario run -checkpoint-every 250 -checkpoint-dir $(CKPT_SMOKE) scenarios/quickstart.json > /dev/null
+	$(CKPT_SMOKE)/aqt scenario run -restore $(CKPT_SMOKE)/quickstart-two-phase.ckpt.json scenarios/quickstart.json > $(CKPT_SMOKE)/resumed.txt
+	diff $(CKPT_SMOKE)/plain.txt $(CKPT_SMOKE)/resumed.txt
 
 # Live-telemetry end-to-end smoke: serve scenario E13 over HTTP with
 # -serve-hold, poll /healthz until the server is up, scrape /metrics,

@@ -97,6 +97,8 @@ func TestBadFlagValues(t *testing.T) {
 		{"stabilitycheck", "-d", "0"},
 		{"sweep", "-from", "NaN"},
 		{"sweep", "-points", "-1"},
+		{"stabilitycheck", "-w", "0"},
+		{"sweep", "-n", "0"},
 	} {
 		code, stdout, stderr := aqt(t, args...)
 		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "aqt "+args[0]+": ") {

@@ -151,8 +151,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // observers fill whatever the spec does not configure — a meter so
 // /metrics always has families to expose, and a sampler (stride
 // sampleEvery, 0 = ~512 samples) to drive the publish cadence — but
-// stay out of Built, so checkpoints still match the spec's observer set
-// exactly. Results are unchanged either way (leap windows are exact by
+// stay out of Built, so the report shows only what the spec
+// configures. They attach before a -restore, so they see its replayed
+// prefix. Results are unchanged either way (leap windows are exact by
 // construction); only the leap window census and per-step cost can
 // differ from an unserved run. The returned func latches a serve-only
 // meter's end-of-run figures.

@@ -49,7 +49,7 @@ func cmdSim(args []string, stdout, stderr io.Writer) int {
 	sampleEvery := fs.Int64("sample-every", 0, "sampling stride in steps for the backlog series, plot and telemetry (0 = auto ~512 samples)")
 	spans := fs.Int64("spans", 0, "trace per-packet spans for ~1/N of packet IDs (0 = off, 1 = every packet)")
 	checkpointFile := fs.String("checkpoint", "", "write an engine checkpoint (JSON) to this file after the run")
-	restoreFile := fs.String("restore", "", "restore engine state from this checkpoint file before running -steps more steps (observer series restart at the resume point)")
+	restoreFile := fs.String("restore", "", "resume from this checkpoint file (same engine flags): replay its prefix, which every observer sees, then run -steps more steps")
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
 	}
@@ -106,6 +106,28 @@ func cmdSim(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg = sim.Config{BufferCap: *bufCap, Drop: drop}
 	}
+	// A checkpoint names the engine by the flags that define it; the
+	// observer and output flags do not change the execution.
+	source := sim.SourceDigest(fmt.Appendf(nil, "topo=%s size=%d policy=%s adv=%s w=%d rate=%v maxlen=%d seed=%d cap=%d drop=%s",
+		*topo, *size, pol.Name(), *advName, *w, rate, *maxLen, *seed, *bufCap, *dropName))
+	mode := sim.ModeStep
+	if *leap {
+		mode = sim.ModeLeap
+	}
+	var restored *sim.Checkpoint
+	if *restoreFile != "" {
+		data, err := os.ReadFile(*restoreFile)
+		if err != nil {
+			return die(err)
+		}
+		if restored, err = sim.DecodeCheckpoint(data); err != nil {
+			return die(err)
+		}
+	}
+	total := *steps // the run's length, a restored prefix included
+	if restored != nil {
+		total += restored.Step
+	}
 	eng := sim.NewWithConfig(g, pol, adv, cfg)
 	// The meter is the run's one latency source; -metrics only decides
 	// whether its registry summary is printed.
@@ -125,7 +147,7 @@ func cmdSim(args []string, stdout, stderr io.Writer) int {
 	}
 	ev := *sampleEvery
 	if ev <= 0 {
-		ev = max(*steps/512, 1)
+		ev = max(total/512, 1)
 	}
 	// The auto stride retains fewer than 1024 samples, so the series is
 	// never downsampled unless -sample-every asks for more.
@@ -147,27 +169,17 @@ func cmdSim(args []string, stdout, stderr io.Writer) int {
 		return die(err)
 	}
 	tel.watch(eng, meter.Registry(), sam, spanTr, fr)
-	if *restoreFile != "" {
-		data, err := os.ReadFile(*restoreFile)
-		if err != nil {
+	if restored != nil {
+		if err := eng.Restore(restored, source); err != nil {
 			return die(err)
 		}
-		cp, err := sim.DecodeCheckpoint(data)
-		if err != nil {
-			return die(err)
-		}
-		if err := eng.Restore(cp); err != nil {
-			return die(err)
-		}
-		fmt.Fprintf(stdout, "restored %s at step %d; running %d more steps\n", *restoreFile, cp.Now, *steps)
+		fmt.Fprintf(stdout, "restored %s at step %d; running %d more steps\n", *restoreFile, restored.Step, *steps)
 	}
-	if *leap {
-		eng.RunLeap(*steps)
-	} else {
-		eng.Run(*steps)
+	if err := eng.RunMode(mode, *steps); err != nil {
+		return die(err)
 	}
 	if *checkpointFile != "" {
-		cp, err := eng.Checkpoint()
+		cp, err := eng.Checkpoint(source, mode)
 		if err != nil {
 			return die(err)
 		}
@@ -181,11 +193,11 @@ func cmdSim(args []string, stdout, stderr io.Writer) int {
 
 	snap := eng.Snap()
 	fmt.Fprintf(stdout, "topology %s(%d): %d nodes, %d edges\n", *topo, *size, g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(stdout, "policy %s, (w=%d, r=%v) %s adversary, d<=%d, %d steps\n", pol.Name(), *w, rate, *advName, *maxLen, *steps)
+	fmt.Fprintf(stdout, "policy %s, (w=%d, r=%v) %s adversary, d<=%d, %d steps\n", pol.Name(), *w, rate, *advName, *maxLen, total)
 	if *leap {
 		ls := eng.Leaps()
 		fmt.Fprintf(stdout, "leap: %d windows (%d idle, %d drain) covering %d of %d steps\n",
-			ls.Windows, ls.Idle, ls.Drain, ls.Steps, *steps)
+			ls.Windows, ls.Idle, ls.Drain, ls.Steps, total)
 	}
 	fmt.Fprintf(stdout, "injected %d, absorbed %d, in flight %d\n", snap.Injected, snap.Absorbed, snap.TotalQueued)
 	if eng.BufferCap() > 0 {

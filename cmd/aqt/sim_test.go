@@ -73,3 +73,41 @@ func TestWriteCSV(t *testing.T) {
 		t.Error("ascii plot empty")
 	}
 }
+
+// TestSimCheckpointSplit: a run split by -checkpoint/-restore prints
+// what the straight run prints, less the ns/step figure and the two
+// checkpoint lines — the replayed prefix reaches every observer — and a
+// checkpoint restored under other engine flags is refused.
+func TestSimCheckpointSplit(t *testing.T) {
+	ckpt := t.TempDir() + "/sim.ckpt.json"
+	flags := []string{"sim", "-topo", "ring", "-size", "6", "-seed", "3", "-spans", "2", "-metrics"}
+	run := func(extra ...string) (int, string) {
+		code, stdout, _ := aqt(t, append(append([]string{}, flags...), extra...)...)
+		var keep []string
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "restored ") || strings.HasPrefix(line, "checkpoint written ") {
+				continue
+			}
+			if i := strings.LastIndex(line, ", "); i >= 0 && strings.HasSuffix(line, " ns/step") {
+				line = line[:i]
+			}
+			keep = append(keep, line)
+		}
+		return code, strings.Join(keep, "\n")
+	}
+	code, straight := run("-steps", "2000")
+	if code != 0 || !strings.Contains(straight, "spans: ") {
+		t.Fatalf("straight run exit %d, output:\n%s", code, straight)
+	}
+	if code, _ := run("-steps", "800", "-checkpoint", ckpt); code != 0 {
+		t.Fatalf("checkpointing run exit %d", code)
+	}
+	code, split := run("-steps", "1200", "-restore", ckpt)
+	if code != 0 || split != straight {
+		t.Errorf("split run (exit %d) differs from the straight run:\n--- split ---\n%s\n--- straight ---\n%s", code, split, straight)
+	}
+	code, stdout, stderr := aqt(t, append(append([]string{}, flags...), "-seed", "4", "-restore", ckpt)...)
+	if code == 0 || stdout != "" || !strings.Contains(stderr, "source") {
+		t.Errorf("restore under another seed: exit %d, stdout %q, stderr %q; want a source error", code, stdout, stderr)
+	}
+}

@@ -37,6 +37,9 @@ func cmdStabilityCheck(args []string, stdout, stderr io.Writer) int {
 	if *d < 1 {
 		return fail(stderr, "stabilitycheck", fmt.Errorf("-d must be >= 1, got %d", *d))
 	}
+	if *w < 1 {
+		return fail(stderr, "stabilitycheck", fmt.Errorf("-w must be >= 1, got %d", *w))
+	}
 	sz := *size
 	if sz == 0 {
 		sz = *d + 2

@@ -46,6 +46,9 @@ func cmdSweep(args []string, out, errw io.Writer) int {
 	if *points < 0 {
 		return fail(errw, "sweep", fmt.Errorf("bad -points %d", *points))
 	}
+	if *n < 1 {
+		return fail(errw, "sweep", fmt.Errorf("-n must be >= 1, got %d", *n))
+	}
 	var pts []stability.Point
 	if *rate > 0 {
 		r := rational.FromFloat(*rate, 4096)

@@ -32,6 +32,8 @@ import (
 // a per-step arena. Returned injections are valid until the next Inject
 // call; the engine consumes them within the same step.
 type RandomWR struct {
+	noState
+
 	W        int64
 	Rate     rational.Rat
 	MaxLen   int
@@ -39,8 +41,6 @@ type RandomWR struct {
 
 	g     *graph.Graph
 	rng   *rand.Rand
-	src   *countingSource // the rng's source, counting draws for checkpoint/restore
-	seed  int64
 	bound int64 // floor(Rate·W): per-edge cap in any w-window
 
 	// Per-edge admission history: ring i holds the injection times of
@@ -71,21 +71,13 @@ func NewRandomWR(g *graph.Graph, w int64, rate rational.Rat, maxLen int, seed in
 	if maxLen < 1 {
 		panic(ErrMaxLen)
 	}
-	// The rng source is wrapped in a draw counter so the stream
-	// position can be checkpointed and replayed (see checkpoint.go).
-	// Every draw RandomWR makes is an Intn, which reaches the source
-	// through Int63 only, so hiding the underlying Source64 does not
-	// change the value stream.
-	src := &countingSource{src: rand.NewSource(seed)}
 	return &RandomWR{
 		W:        w,
 		Rate:     rate,
 		MaxLen:   maxLen,
 		Attempts: 4,
 		g:        g,
-		rng:      rand.New(src),
-		src:      src,
-		seed:     seed,
+		rng:      rand.New(rand.NewSource(seed)),
 		bound:    rate.FloorMulInt(w),
 		rings:    make([][]int64, g.NumEdges()),
 		head:     make([]int32, g.NumEdges()),

@@ -1,7 +1,8 @@
 package adversary
 
 import (
-	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"aqt/internal/graph"
@@ -9,6 +10,24 @@ import (
 	"aqt/internal/rational"
 	"aqt/internal/sim"
 )
+
+// testSource names the engines of these tests for their checkpoints.
+var testSource = sim.SourceDigest([]byte("adversary checkpoint tests"))
+
+// resume checkpoints half through the wire format and restores the
+// checkpoint into fresh, which replays the prefix.
+func resume(t *testing.T, half, fresh *sim.Engine) error {
+	t.Helper()
+	cp, err := half.Checkpoint(testSource, sim.ModeStep)
+	if err != nil {
+		t.Fatalf("Checkpoint at k=%d: %v", half.Now(), err)
+	}
+	cp2, err := sim.DecodeCheckpoint(cp.Encode())
+	if err != nil {
+		t.Fatalf("decode at k=%d: %v", half.Now(), err)
+	}
+	return fresh.Restore(cp2, testSource)
+}
 
 // splitCompare runs build() for total steps directly and as a k-split
 // checkpoint/restore pair, requiring identical executions. It returns
@@ -19,16 +38,8 @@ func splitCompare(t *testing.T, build func() *sim.Engine, total, k int64) *sim.E
 	direct.Run(total)
 	half := build()
 	half.Run(k)
-	cp, err := half.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint at k=%d: %v", k, err)
-	}
-	cp2, err := sim.DecodeCheckpoint(cp.Encode())
-	if err != nil {
-		t.Fatalf("decode at k=%d: %v", k, err)
-	}
 	resumed := build()
-	if err := resumed.Restore(cp2); err != nil {
+	if err := resume(t, half, resumed); err != nil {
 		t.Fatalf("restore at k=%d: %v", k, err)
 	}
 	resumed.Run(total - k)
@@ -40,9 +51,7 @@ func splitCompare(t *testing.T, build func() *sim.Engine, total, k int64) *sim.E
 
 // TestScriptCheckpointAcrossCompaction: stream "a" exhausts its budget
 // early and is compacted out of Script.streams; checkpoints taken both
-// before and after the compaction must resume exactly. The restore
-// path matches surviving streams by AddStream index and drops the
-// compacted ones.
+// before and after the compaction must resume exactly.
 func TestScriptCheckpointAcrossCompaction(t *testing.T) {
 	g := graph.Line(6)
 	build := func() *sim.Engine {
@@ -58,39 +67,48 @@ func TestScriptCheckpointAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestScriptCheckpointStateErrors covers the Script state machine's
-// rejection paths.
+// TestScriptCheckpointStateErrors: a checkpoint restores only into a
+// fresh engine that replays to the recorded state. A script with
+// another program, or with an extra stream, reaches another state and
+// fails the digest check; a script with a PreStep hook, which a state
+// encoding could not carry, replays like any other.
 func TestScriptCheckpointStateErrors(t *testing.T) {
 	g := graph.Line(3)
-	mk := func() *Script {
-		return NewScript(Stream{Name: "a", Start: 1, Rate: rational.New(1, 2), Budget: 10,
-			Route: []graph.EdgeID{g.MustEdge("e1")}})
+	a := Stream{Name: "a", Start: 1, Rate: rational.New(1, 2), Budget: 10, Route: []graph.EdgeID{g.MustEdge("e1")}}
+	mk := func(streams ...Stream) *sim.Engine { return sim.New(g, policy.FIFO{}, NewScript(streams...)) }
+	half := mk(a)
+	half.Run(20)
+
+	faster := a
+	faster.Rate = rational.New(2, 3)
+	extra := Stream{Name: "b", Start: 1, Rate: rational.New(1, 2), Budget: 10, Route: []graph.EdgeID{g.MustEdge("e2")}}
+	for name, target := range map[string]*sim.Engine{
+		"other rate":   mk(faster),
+		"extra stream": mk(a, extra),
+	} {
+		if err := resume(t, half, target); err == nil || !strings.Contains(err.Error(), "digest") {
+			t.Errorf("%s: restore error %v, want a digest mismatch", name, err)
+		}
 	}
-	src := mk()
-	st, err := src.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
+	ran := mk(a)
+	ran.Run(1)
+	if err := resume(t, half, ran); err == nil {
+		t.Error("restore into an engine that has already run accepted")
 	}
 
-	if err := mk().RestoreState(nil, sim.AdversaryState{Kind: "burst", Data: st.Data}); err == nil {
-		t.Error("wrong kind accepted")
+	hooks := 0
+	withHook := func() *sim.Engine {
+		s := NewScript(a)
+		s.SetPreStep(func(*sim.Engine) { hooks++ })
+		return sim.New(g, policy.FIFO{}, s)
 	}
-	two := NewScript(
-		Stream{Name: "a", Start: 1, Rate: rational.New(1, 2), Budget: 10, Route: []graph.EdgeID{g.MustEdge("e1")}},
-		Stream{Name: "b", Start: 1, Rate: rational.New(1, 2), Budget: 10, Route: []graph.EdgeID{g.MustEdge("e2")}},
-	)
-	if err := two.RestoreState(nil, st); err == nil {
-		t.Error("stream-count (added) mismatch accepted")
-	}
-
-	pre := mk()
-	pre.SetPreStep(func(*sim.Engine) {})
-	if _, err := pre.CheckpointState(); err == nil {
-		t.Error("script with an opaque PreStep hook claimed to be checkpointable")
+	splitCompare(t, withHook, 40, 20)
+	if hooks != 40+20+40 {
+		t.Errorf("PreStep hook ran %d times, want once per step of each run (100)", hooks)
 	}
 }
 
-// TestReplayCheckpointCursor: a Replay adversary's cursor must survive
+// TestReplayCheckpointCursor: a Replay adversary must resume from
 // splits at every phase — before, during and after the recorded
 // schedule.
 func TestReplayCheckpointCursor(t *testing.T) {
@@ -111,8 +129,7 @@ func TestReplayCheckpointCursor(t *testing.T) {
 
 // TestSequenceCheckpointPhases: a two-phase Sequence (paced script,
 // then bursts) must resume from splits inside either phase and on the
-// boundary. Restore re-enters the current phase and overwrites its
-// leap horizon rather than re-running history.
+// boundary, under step and leap replays alike.
 func TestSequenceCheckpointPhases(t *testing.T) {
 	g := graph.Line(5)
 	build := func() *sim.Engine {
@@ -141,13 +158,22 @@ func TestSequenceCheckpointPhases(t *testing.T) {
 	}
 	for _, k := range []int64{1, 15, 30, 31, 70, 100} {
 		splitCompare(t, build, 120, k)
+		half := build()
+		half.RunLeap(k)
+		cp, err := half.Checkpoint(testSource, sim.ModeLeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaped := build()
+		if err := leaped.Restore(cp, testSource); err != nil {
+			t.Fatalf("leap replay to k=%d: %v", k, err)
+		}
 	}
 }
 
-// TestRandomWRCheckpointDrawReplay: the RandomWR RNG stream position
-// is restored by replaying the counted draws from the seed; splits at
-// many points must leave the value stream — and hence the injection
-// schedule — untouched.
+// TestRandomWRCheckpointDrawReplay: a restore replays the RandomWR RNG
+// draws from the seed; splits at many points must leave the value
+// stream — and hence the injection schedule — untouched.
 func TestRandomWRCheckpointDrawReplay(t *testing.T) {
 	build := func() *sim.Engine {
 		g := graph.Ring(7)
@@ -158,81 +184,77 @@ func TestRandomWRCheckpointDrawReplay(t *testing.T) {
 	}
 }
 
-// TestRandomWRCheckpointSeedMismatch: state from one seed must refuse
-// to restore into an adversary constructed with another.
+// TestRandomWRCheckpointSeedMismatch: a checkpoint of one seed's run
+// must refuse to restore into an engine whose adversary has another
+// seed: the replay draws another schedule and fails the digest check.
 func TestRandomWRCheckpointSeedMismatch(t *testing.T) {
 	g := graph.Ring(4)
-	a := NewRandomWR(g, 10, rational.New(1, 2), 2, 7)
-	e := sim.New(g, policy.FIFO{}, a)
-	e.Run(20)
-	st, err := a.CheckpointState()
-	if err != nil {
+	half := sim.New(g, policy.FIFO{}, NewRandomWR(g, 10, rational.New(1, 2), 2, 7))
+	half.Run(20)
+	other := sim.New(g, policy.FIFO{}, NewRandomWR(g, 10, rational.New(1, 2), 2, 8))
+	if err := resume(t, half, other); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Errorf("seed mismatch: restore error %v, want a digest mismatch", err)
+	}
+}
+
+// TestWindowUsageRestoreRejects: a (w,r) violation whose window
+// straddles the checkpoint split is still rejected after a restore —
+// the validator on the resumed engine saw the replayed prefix, and its
+// usage equals the straight run's.
+func TestWindowUsageRestoreRejects(t *testing.T) {
+	g := graph.Line(3)
+	build := func() (*sim.Engine, *WindowValidator) {
+		// 4 packets on e1 in steps 8..11: over floor(10·1/4) = 2 in any
+		// 10-step window.
+		e := sim.New(g, policy.FIFO{}, NewBurstScript(BurstStream{
+			Name: "b", Start: 8, Period: 1, Burst: 1, Budget: 4, Route: rt(g, "e1")}))
+		wv := NewWindowValidator(10, rational.New(1, 4))
+		e.AddObserver(wv)
+		return e, wv
+	}
+	direct, directWV := build()
+	direct.Run(30)
+	if directWV.Check() == nil {
+		t.Fatal("straight run passed the window check; test vacuous")
+	}
+	half, _ := build()
+	half.Run(9) // two of the four packets are in
+	resumed, wv := build()
+	if err := resume(t, half, resumed); err != nil {
 		t.Fatal(err)
 	}
-	other := NewRandomWR(g, 10, rational.New(1, 2), 2, 8)
-	if err := other.RestoreState(nil, st); err == nil {
-		t.Error("seed mismatch accepted")
+	resumed.Run(21)
+	if wv.Check() == nil {
+		t.Error("violation straddling the split accepted after restore")
+	}
+	directWV.u.sortAll()
+	wv.u.sortAll()
+	if !reflect.DeepEqual(directWV.u.times, wv.u.times) {
+		t.Errorf("window usage differs:\ndirect:  %v\nresumed: %v", directWV.u.times, wv.u.times)
 	}
 }
 
-// TestWindowUsageRestoreRejects: hostile usage states must be rejected
-// with errors, never panics.
-func TestWindowUsageRestoreRejects(t *testing.T) {
-	for i, us := range []UsageState{
-		{{Edge: 0, Times: nil}}, // empty ring
-		{{Edge: 2, Times: []int64{1}}, {Edge: 1, Times: []int64{1}}}, // not increasing
-		{{Edge: 0, Times: []int64{5, 3}}},                            // unsorted times
-	} {
-		wv := NewWindowValidator(10, rational.New(1, 2))
-		if err := wv.RestoreUsage(us); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-// TestAdversaryKindMismatch: every adversary kind refuses a blob
-// stamped with another kind.
+// TestAdversaryKindMismatch: Sequence and RandomWR keep the two
+// state-checkpoint methods only for perfbench's wrappers, and refuse
+// every state; no other adversary carries them.
 func TestAdversaryKindMismatch(t *testing.T) {
 	g := graph.Line(3)
-	bad := sim.AdversaryState{Kind: "nope", Data: []byte(`{}`)}
-	targets := []sim.CheckpointableAdversary{
+	for _, a := range []sim.CheckpointableAdversary{NewSequence(), NewRandomWR(g, 4, rational.New(1, 2), 1, 1)} {
+		if _, err := a.CheckpointState(); err == nil {
+			t.Errorf("%T produced a state", a)
+		}
+		if err := a.RestoreState(nil, sim.AdversaryState{Kind: "nope", Data: []byte(`{}`)}); err == nil {
+			t.Errorf("%T accepted a state", a)
+		}
+	}
+	for _, a := range []sim.Adversary{
 		NewScript(Stream{Name: "a", Start: 1, Rate: rational.New(1, 2), Budget: 1, Route: rt(g, "e1")}),
 		NewBurstScript(BurstStream{Name: "b", Start: 1, Period: 2, Burst: 1, Budget: 1, Route: rt(g, "e1")}),
 		NewReplay(nil),
-		NewSequence(),
-		NewRandomWR(g, 4, rational.New(1, 2), 1, 1),
-	}
-	for _, a := range targets {
-		if err := a.RestoreState(nil, bad); err == nil {
-			t.Errorf("%T accepted kind %q", a, bad.Kind)
+		sim.NopAdversary{},
+	} {
+		if _, ok := a.(sim.CheckpointableAdversary); ok {
+			t.Errorf("%T still carries the state-checkpoint methods", a)
 		}
-	}
-}
-
-// TestPacerRestore: Pacer.Restore must reproduce the exact emission
-// schedule from any (ticks, sent) position of a reference pacer.
-func TestPacerRestore(t *testing.T) {
-	for _, rate := range []rational.Rat{rational.New(1, 3), rational.New(2, 5), rational.New(7, 4)} {
-		rate := rate
-		t.Run(fmt.Sprint(rate), func(t *testing.T) {
-			ref := rational.NewPacer(rate)
-			var refOut []int64
-			for i := 0; i < 100; i++ {
-				refOut = append(refOut, ref.Tick())
-			}
-			for _, k := range []int{0, 1, 37, 99} {
-				probe := rational.NewPacer(rate)
-				for i := 0; i < k; i++ {
-					probe.Tick()
-				}
-				fork := rational.NewPacer(rate)
-				fork.Restore(probe.Ticks(), probe.Emitted())
-				for i := k; i < 100; i++ {
-					if got := fork.Tick(); got != refOut[i] {
-						t.Fatalf("k=%d tick %d: %d, want %d", k, i, got, refOut[i])
-					}
-				}
-			}
-		})
 	}
 }

@@ -39,7 +39,6 @@ type runningStream struct {
 	Stream
 	pacer *rational.CappedPacer
 	count int64
-	idx   int // AddStream order, stable across compaction (checkpoint key)
 }
 
 func (rs *runningStream) done() bool { return rs.pacer.Done() }
@@ -49,7 +48,6 @@ func (rs *runningStream) done() bool { return rs.pacer.Done() }
 // value is an empty script that injects nothing.
 type Script struct {
 	streams []*runningStream
-	added   int                 // total AddStream calls (checkpoint stream keys)
 	pre     func(e *sim.Engine) // optional PreStep hook (rerouting)
 	out     []packet.Injection  // Inject's result, reused across calls
 }
@@ -75,9 +73,7 @@ func (s *Script) AddStream(st Stream) {
 	s.streams = append(s.streams, &runningStream{
 		Stream: st,
 		pacer:  rational.NewCappedPacer(st.Rate, budget),
-		idx:    s.added,
 	})
-	s.added++
 }
 
 // SetPreStep installs a PreStep hook (used for Lemma 3.3 rerouting).
@@ -170,6 +166,7 @@ func (s *Script) PendingBudget() int64 {
 // condition reports true, then the next phase starts. It is the glue
 // of the Theorem 3.17 iterative construction.
 type Sequence struct {
+	noState
 	phases []Phase
 	cur    int
 	onSwap func(idx int, e *sim.Engine)

@@ -278,7 +278,7 @@ func F1Figure31(q Quick) *Table {
 		}
 		t.AddRow(n, c.G.NumNodes(), c.G.NumEdges(), !c.G.HasCycle(), shared, simple, ok)
 	}
-	t.AddNote("DOT renderings available via cmd/gadgetviz")
+	t.AddNote("DOT renderings available via aqt gadgetviz")
 	return t
 }
 

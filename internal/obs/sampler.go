@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 
 	"aqt/internal/sim"
 )
@@ -330,26 +329,26 @@ func (s *Sampler) SeriesInto(dst *[]Series) {
 	*dst = d
 }
 
-// SeriesState is one series' serializable state.
+// SeriesState is one series' retained points.
 type SeriesState struct {
-	Name   string  `json:"name"`
-	Points []Point `json:"points,omitempty"`
+	Name   string
+	Points []Point
 }
 
-// SamplerState is the serializable dynamic state of a Sampler:
+// SamplerState is a read-only copy of a Sampler's state:
 // configuration, downsampling factor, the exact peak backlog and the
-// retained series. Restoring it onto a same-shaped fresh sampler
-// reproduces the uninterrupted series, including future stride-doubling
-// points.
+// retained series.
 type SamplerState struct {
-	Every      int64         `json:"every"`
-	MaxSamples int           `json:"max_samples"`
-	Factor     int64         `json:"factor,omitempty"`
-	PeakTotal  int64         `json:"peak_total,omitempty"`
-	Series     []SeriesState `json:"series"`
+	Every      int64
+	MaxSamples int
+	Factor     int64
+	PeakTotal  int64
+	Series     []SeriesState
 }
 
-// CheckpointState extracts the sampler's state (points are copied).
+// CheckpointState returns a copy of the sampler's state (points are
+// copied), for comparing two samplers. The name is kept for perfbench;
+// checkpoints replay and carry no observer state.
 func (s *Sampler) CheckpointState() SamplerState {
 	st := SamplerState{Every: s.every, MaxSamples: s.maxSamples, Factor: s.factor, PeakTotal: s.peak}
 	for i := range s.series {
@@ -359,75 +358,4 @@ func (s *Sampler) CheckpointState() SamplerState {
 		})
 	}
 	return st
-}
-
-// maxSamplerBound caps a restored MaxSamples.
-const maxSamplerBound = 1 << 20
-
-// RestoreState overwrites the sampler with a previously extracted
-// state. The state's series set must exactly match the sampler's
-// configuration — in particular, latency series must be present iff a
-// meter is linked. Malformed state is rejected with an error, never a
-// panic: it is reachable from fuzzed checkpoint documents.
-func (s *Sampler) RestoreState(st SamplerState) error {
-	if st.Every < 1 {
-		return fmt.Errorf("sampler state: every %d < 1", st.Every)
-	}
-	if st.MaxSamples < 16 || st.MaxSamples > maxSamplerBound {
-		return fmt.Errorf("sampler state: max_samples %d outside [16,%d]", st.MaxSamples, maxSamplerBound)
-	}
-	// A factor off the power-of-two ladder, or one whose effective
-	// stride overflows int64 (every*factor wrapping to 0 would divide by
-	// zero in the next OnStep), never came from a real run.
-	if st.Factor < 0 || st.Factor&(st.Factor-1) != 0 {
-		return fmt.Errorf("sampler state: factor %d is not 0, 1 or a power of two", st.Factor)
-	}
-	if st.Factor > 1 && st.Every > math.MaxInt64/st.Factor {
-		return fmt.Errorf("sampler state: every %d × factor %d overflows", st.Every, st.Factor)
-	}
-	if st.PeakTotal < 0 {
-		return fmt.Errorf("sampler state: negative peak_total %d", st.PeakTotal)
-	}
-	eff := st.Every
-	if st.Factor > 1 {
-		eff *= st.Factor
-	}
-	if len(st.Series) != len(s.series) {
-		return fmt.Errorf("sampler state: %d series, sampler configured with %d", len(st.Series), len(s.series))
-	}
-	for i := range st.Series {
-		if st.Series[i].Name != s.series[i].Name {
-			return fmt.Errorf("sampler state: series[%d] is %q, sampler configured with %q",
-				i, st.Series[i].Name, s.series[i].Name)
-		}
-		if len(st.Series[i].Points) > st.MaxSamples {
-			return fmt.Errorf("sampler state: series %q retains %d points, max %d",
-				st.Series[i].Name, len(st.Series[i].Points), st.MaxSamples)
-		}
-		if len(st.Series[i].Points) != len(st.Series[0].Points) {
-			return fmt.Errorf("sampler state: series %q has %d points, %q has %d (series must stay aligned)",
-				st.Series[i].Name, len(st.Series[i].Points), st.Series[0].Name, len(st.Series[0].Points))
-		}
-		for j, p := range st.Series[i].Points {
-			if j > 0 && p.T <= st.Series[i].Points[j-1].T {
-				return fmt.Errorf("sampler state: series %q point %d time %d not increasing", st.Series[i].Name, j, p.T)
-			}
-			if p.T != st.Series[0].Points[j].T {
-				return fmt.Errorf("sampler state: series %q point %d at t=%d, %q at t=%d (series must stay aligned)",
-					st.Series[i].Name, j, p.T, st.Series[0].Name, st.Series[0].Points[j].T)
-			}
-			if p.T < 1 || p.T%eff != 0 {
-				return fmt.Errorf("sampler state: series %q point %d at t=%d off the effective stride %d",
-					st.Series[i].Name, j, p.T, eff)
-			}
-		}
-	}
-	s.every = st.Every
-	s.maxSamples = st.MaxSamples
-	s.factor = st.Factor
-	s.peak = st.PeakTotal
-	for i := range s.series {
-		s.series[i].Points = append(s.series[i].Points[:0], st.Series[i].Points...)
-	}
-	return nil
 }

@@ -173,138 +173,6 @@ func TestSamplerDumpJSONLValidates(t *testing.T) {
 	}
 }
 
-// TestSamplerStateRoundTrip: checkpoint mid-run, restore onto a fresh
-// same-shaped sampler, finish both — the series must agree exactly.
-func TestSamplerStateRoundTrip(t *testing.T) {
-	const total, k = 600, 251
-	ref := burstEngine()
-	rs := obs.NewSampler(obs.SamplerConfig{Every: 1, MaxSamples: 32})
-	rs.Attach(ref)
-	ref.Run(total)
-
-	half := burstEngine()
-	hs := obs.NewSampler(obs.SamplerConfig{Every: 1, MaxSamples: 32})
-	hs.Attach(half)
-	half.Run(k)
-	st := hs.CheckpointState()
-
-	resumed := burstEngine()
-	cp, err := half.Checkpoint()
-	if err != nil {
-		t.Fatalf("engine checkpoint: %v", err)
-	}
-	if err := resumed.Restore(cp); err != nil {
-		t.Fatalf("engine restore: %v", err)
-	}
-	gs := obs.NewSampler(obs.SamplerConfig{Every: 1, MaxSamples: 32})
-	gs.Attach(resumed)
-	if err := gs.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	resumed.Run(total - k)
-	if !reflect.DeepEqual(rs.CheckpointState(), gs.CheckpointState()) {
-		t.Errorf("resumed sampler state differs from straight run:\nref: %+v\ngot: %+v",
-			rs.CheckpointState(), gs.CheckpointState())
-	}
-}
-
-// TestSamplerStateRejects: every malformed-state class is refused with
-// an error (states are reachable from fuzzed checkpoint files).
-func TestSamplerStateRejects(t *testing.T) {
-	mk := func() obs.SamplerState {
-		s := obs.NewSampler(obs.SamplerConfig{Every: 2, MaxSamples: 16})
-		e := burstEngine()
-		s.Attach(e)
-		e.Run(40)
-		return s.CheckpointState()
-	}
-	cases := []struct {
-		name string
-		mut  func(st *obs.SamplerState)
-	}{
-		{"every below 1", func(st *obs.SamplerState) { st.Every = 0 }},
-		{"max_samples too small", func(st *obs.SamplerState) { st.MaxSamples = 15 }},
-		{"max_samples too large", func(st *obs.SamplerState) { st.MaxSamples = 1 << 21 }},
-		{"negative factor", func(st *obs.SamplerState) { st.Factor = -2 }},
-		{"factor not a power of two", func(st *obs.SamplerState) { st.Factor = 6 }},
-		{"every×factor overflows", func(st *obs.SamplerState) { st.Every, st.Factor = 4, 1<<62 }},
-		{"negative peak_total", func(st *obs.SamplerState) { st.PeakTotal = -1 }},
-		{"points off the effective stride", func(st *obs.SamplerState) {
-			for i := range st.Series {
-				p := append([]obs.Point(nil), st.Series[i].Points...)
-				p[len(p)-1].T++
-				st.Series[i].Points = p
-			}
-		}},
-		{"series dropped", func(st *obs.SamplerState) { st.Series = st.Series[:len(st.Series)-1] }},
-		{"series renamed", func(st *obs.SamplerState) { st.Series[0].Name = "bogus" }},
-		{"too many points", func(st *obs.SamplerState) {
-			st.MaxSamples = 16
-			pts := make([]obs.Point, 17)
-			for i := range pts {
-				pts[i] = obs.Point{T: int64(i + 1), V: 0}
-			}
-			for i := range st.Series {
-				st.Series[i].Points = pts
-			}
-			st.Series[0].Points = pts
-		}},
-		{"misaligned lengths", func(st *obs.SamplerState) {
-			st.Series[1].Points = st.Series[1].Points[:len(st.Series[1].Points)-1]
-		}},
-		{"non-increasing time", func(st *obs.SamplerState) {
-			p := append([]obs.Point(nil), st.Series[0].Points...)
-			p[1].T = p[0].T
-			st.Series[0].Points = p
-		}},
-		{"misaligned timestamps", func(st *obs.SamplerState) {
-			p := append([]obs.Point(nil), st.Series[0].Points...)
-			p[1].T++
-			st.Series[0].Points = p
-		}},
-	}
-	for _, tc := range cases {
-		st := mk()
-		if len(st.Series[0].Points) < 3 {
-			t.Fatalf("%s: fixture too short (%d points)", tc.name, len(st.Series[0].Points))
-		}
-		tc.mut(&st)
-		fresh := obs.NewSampler(obs.SamplerConfig{Every: 2, MaxSamples: 16})
-		if err := fresh.RestoreState(st); err == nil {
-			t.Errorf("%s: malformed state accepted", tc.name)
-		}
-	}
-	// The unmutated fixture must restore cleanly (the cases above fail
-	// for their stated reason, not because the fixture is broken).
-	fresh := obs.NewSampler(obs.SamplerConfig{Every: 2, MaxSamples: 16})
-	if err := fresh.RestoreState(mk()); err != nil {
-		t.Errorf("pristine state rejected: %v", err)
-	}
-}
-
-// TestSamplerRestoreOverflowingStride is the regression test for a
-// hostile state that used to be accepted: every 4 × factor 2^62 wraps
-// the effective stride to 0, and the next Step panicked with an integer
-// divide by zero. It must be refused, leaving a sampler that still
-// steps.
-func TestSamplerRestoreOverflowingStride(t *testing.T) {
-	s := obs.NewSampler(obs.SamplerConfig{})
-	names := []string{"backlog", "queue_max", "absorbed", "drops", "heap_skips", "heap_compactions"}
-	st := obs.SamplerState{Every: 4, MaxSamples: 512, Factor: 1 << 62}
-	for _, name := range names {
-		st.Series = append(st.Series, obs.SeriesState{Name: name})
-	}
-	if err := s.RestoreState(st); err == nil {
-		t.Fatal("state with every×factor overflowing int64 accepted")
-	}
-	e := burstEngine()
-	s.Attach(e)
-	e.Run(10)
-	if s.PeakTotal() == 0 || len(s.Backlog()) != 10 {
-		t.Errorf("sampler unusable after the rejected restore: peak %d, %d points", s.PeakTotal(), len(s.Backlog()))
-	}
-}
-
 // TestValidateJSONLSampleLines pins the schema rules for sample lines.
 func TestValidateJSONLSampleLines(t *testing.T) {
 	ok := `{"t":10,"kind":"sample","label":"backlog","v":5}`

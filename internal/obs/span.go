@@ -43,10 +43,6 @@ type SpanHop struct {
 //	{"t":<end>,"kind":"span","pkt":..,"edge":<last edge>,"hops":..,
 //	 "aux":<end-start latency>,"label":"absorb"|"drop",
 //	 "path":[[edge,t,wait],...]}
-//
-// An in-flight span (End < Start, no outcome yet — these appear only
-// inside checkpoint state, never in trace dumps) marshals with label
-// "live", t at the injection step and aux 0.
 type Span struct {
 	Pkt   int64
 	Start int64 // injection step
@@ -60,13 +56,9 @@ type Span struct {
 
 // MarshalJSON renders the span as its JSONL line (see the type doc).
 func (s Span) MarshalJSON() ([]byte, error) {
-	t, aux := s.End, s.End-s.Start
-	if s.End < s.Start { // in-flight: anchored at injection, no latency yet
-		t, aux = s.Start, 0
-	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `{"t":%d,"kind":"span","pkt":%d,"edge":%d,"hops":%d,"aux":%d,"label":%q,"path":[`,
-		t, s.Pkt, int64(s.Edge), s.Hops, aux, s.outcome())
+		s.End, s.Pkt, int64(s.Edge), s.Hops, s.End-s.Start, s.outcome())
 	for i := 0; i < s.NPath; i++ {
 		if i > 0 {
 			b.WriteByte(',')
@@ -79,18 +71,14 @@ func (s Span) MarshalJSON() ([]byte, error) {
 }
 
 func (s Span) outcome() string {
-	if s.End < s.Start {
-		return "live"
-	}
 	if s.Drop {
 		return "drop"
 	}
 	return "absorb"
 }
 
-// UnmarshalJSON parses and validates the JSONL line form. Errors, not
-// panics: span payloads are reachable from fuzzed checkpoint
-// documents.
+// UnmarshalJSON parses and validates the JSONL line form, returning
+// errors, never panicking, on malformed input.
 func (s *Span) UnmarshalJSON(data []byte) error {
 	var w struct {
 		T     int64     `json:"t"`
@@ -118,14 +106,8 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	case "absorb", "drop":
 		*s = Span{Pkt: w.Pkt, Start: w.T - w.Aux, End: w.T, Drop: w.Label == "drop",
 			Edge: graph.EdgeID(w.Edge), Hops: w.Hops, NPath: len(w.Path)}
-	case "live":
-		if w.Aux != 0 {
-			return fmt.Errorf("span: live span with latency %d", w.Aux)
-		}
-		*s = Span{Pkt: w.Pkt, Start: w.T, End: -1,
-			Edge: graph.EdgeID(w.Edge), Hops: w.Hops, NPath: len(w.Path)}
 	default:
-		return fmt.Errorf("span: label %q, want absorb|drop|live", w.Label)
+		return fmt.Errorf("span: label %q, want absorb|drop", w.Label)
 	}
 	for i, h := range w.Path {
 		if len(h) != 3 {
@@ -370,109 +352,6 @@ func (st *SpanTracer) DumpJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// SpanState is the serializable dynamic state of a SpanTracer:
-// configuration, the in-flight and completed spans, and the per-edge
-// residence histograms.
-type SpanState struct {
-	SampleEvery int64         `json:"sample_every"`
-	Seed        uint64        `json:"seed,omitempty"`
-	MaxLive     int           `json:"max_live"`
-	MaxDone     int           `json:"max_done"`
-	Missed      uint64        `json:"missed,omitempty"`
-	DoneTotal   uint64        `json:"done_total,omitempty"`
-	Live        []Span        `json:"live,omitempty"`
-	Done        []Span        `json:"done,omitempty"`
-	Hists       RegistryState `json:"hists"`
-}
-
-// CheckpointState extracts the tracer's state (spans are copied; live
-// spans keep their table order so a restored run is bit-identical).
-func (st *SpanTracer) CheckpointState() SpanState {
-	return SpanState{
-		SampleEvery: st.cfg.SampleEvery,
-		Seed:        st.cfg.Seed,
-		MaxLive:     st.cfg.MaxLive,
-		MaxDone:     st.cfg.MaxDone,
-		Missed:      st.missed,
-		DoneTotal:   st.doneTotal,
-		Live:        append([]Span(nil), st.live...),
-		Done:        st.Done(),
-		Hists:       st.reg.State(),
-	}
-}
-
-// maxSpanTable bounds restored table sizes (hostile input).
-const maxSpanTable = 1 << 20
-
-// checkSpan validates one restored span's structural invariants (the
-// JSON path validates the wire form; states can also be built
-// directly).
-func checkSpan(where string, i int, sp *Span, closed bool) error {
-	if sp.NPath < 0 || sp.NPath > SpanMaxHops || sp.NPath > sp.Hops || sp.Hops < 0 {
-		return fmt.Errorf("span state: %s[%d] npath %d / hops %d out of range", where, i, sp.NPath, sp.Hops)
-	}
-	if closed && sp.End < sp.Start {
-		return fmt.Errorf("span state: %s[%d] ends at %d before start %d", where, i, sp.End, sp.Start)
-	}
-	return nil
-}
-
-// RestoreState overwrites the tracer with a previously extracted
-// state. Malformed state is rejected with an error, never a panic.
-// Call before Attach or with the same engine attached; the histogram
-// handles keep aliasing the restored registry entries.
-func (st *SpanTracer) RestoreState(s SpanState) error {
-	if s.SampleEvery < 1 {
-		return fmt.Errorf("span state: sample_every %d < 1", s.SampleEvery)
-	}
-	if s.MaxLive < 1 || s.MaxLive > maxSpanTable {
-		return fmt.Errorf("span state: max_live %d outside [1,%d]", s.MaxLive, maxSpanTable)
-	}
-	if s.MaxDone < 16 || s.MaxDone > maxSpanTable {
-		return fmt.Errorf("span state: max_done %d outside [16,%d]", s.MaxDone, maxSpanTable)
-	}
-	if len(s.Live) > s.MaxLive {
-		return fmt.Errorf("span state: %d live spans, max %d", len(s.Live), s.MaxLive)
-	}
-	want := s.DoneTotal
-	if want > uint64(s.MaxDone) {
-		want = uint64(s.MaxDone)
-	}
-	if uint64(len(s.Done)) != want {
-		return fmt.Errorf("span state: %d done spans retained, want min(total=%d, cap=%d) = %d",
-			len(s.Done), s.DoneTotal, s.MaxDone, want)
-	}
-	for i := range s.Live {
-		if err := checkSpan("live", i, &s.Live[i], false); err != nil {
-			return err
-		}
-	}
-	for i := range s.Done {
-		if err := checkSpan("done", i, &s.Done[i], true); err != nil {
-			return err
-		}
-	}
-	if err := st.reg.RestoreState(s.Hists); err != nil {
-		return err
-	}
-	st.cfg.SampleEvery = s.SampleEvery
-	st.cfg.Seed = s.Seed
-	st.cfg.MaxLive = s.MaxLive
-	st.cfg.MaxDone = s.MaxDone
-	st.missed = s.Missed
-	if cap(st.live) < s.MaxLive {
-		st.live = make([]Span, 0, s.MaxLive)
-	}
-	st.live = append(st.live[:0], s.Live...)
-	st.done = make([]Span, s.MaxDone)
-	st.doneTotal = s.DoneTotal - uint64(len(s.Done))
-	for _, sp := range s.Done {
-		st.done[st.doneTotal%uint64(len(st.done))] = sp
-		st.doneTotal++
-	}
-	return nil
 }
 
 // WriteResidenceText renders the per-edge residence histograms as a

@@ -1,7 +1,6 @@
 // SpanTracer coverage: end-to-end span capture with residence
 // histograms, seeded ID sampling, the JSONL wire form (golden-pinned
-// and schema-validated), drain-window vetoes, and state round trips
-// with hostile-input rejection.
+// and schema-validated) and drain-window vetoes.
 package obs_test
 
 import (
@@ -135,8 +134,7 @@ func TestSpanJSONGolden(t *testing.T) {
 	}
 }
 
-// TestSpanUnmarshalRejects: every malformed wire-form class errors
-// (span payloads live inside fuzzed checkpoint documents).
+// TestSpanUnmarshalRejects: every malformed wire-form class errors.
 func TestSpanUnmarshalRejects(t *testing.T) {
 	for _, bad := range []string{
 		`{"t":5,"kind":"sample","pkt":1,"edge":0,"hops":0,"aux":0,"label":"absorb","path":[]}`,              // wrong kind
@@ -192,9 +190,8 @@ func TestSpanTracerVetoesDrains(t *testing.T) {
 	if le.Leaps().Idle == 0 {
 		t.Error("idle windows must still leap with a span tracer attached")
 	}
-	if !reflect.DeepEqual(lt.CheckpointState(), stt.CheckpointState()) {
-		t.Errorf("span tracer states differ after leap vs step:\nleap: %+v\nstep: %+v",
-			lt.CheckpointState(), stt.CheckpointState())
+	if lv, sv := viewOf(lt), viewOf(stt); !reflect.DeepEqual(lv, sv) {
+		t.Errorf("span tracer states differ after leap vs step:\nleap: %+v\nstep: %+v", lv, sv)
 	}
 }
 
@@ -211,93 +208,5 @@ func TestSpanTracerAcceptsDrainsWhenEmpty(t *testing.T) {
 	}
 	if e.Leaps().Drain == 0 {
 		t.Error("empty tracer must accept drain windows, engine leaped none")
-	}
-}
-
-// TestSpanStateRoundTrip: checkpoint mid-burst (live spans in flight),
-// restore onto a fresh tracer + restored engine, finish both — spans,
-// counters and histograms must agree exactly.
-func TestSpanStateRoundTrip(t *testing.T) {
-	const total, k = 1000, 333 // k inside a burst so live spans exist
-	ref := burstEngine()
-	rt := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 2, Seed: 3})
-	rt.Attach(ref)
-	ref.Run(total)
-
-	half := burstEngine()
-	ht := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 2, Seed: 3})
-	ht.Attach(half)
-	half.Run(k)
-	st := ht.CheckpointState()
-	if data, err := json.Marshal(st); err != nil {
-		t.Fatalf("state marshal: %v", err)
-	} else {
-		var back obs.SpanState
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("state unmarshal: %v", err)
-		}
-		st = back
-	}
-
-	cp, err := half.Checkpoint()
-	if err != nil {
-		t.Fatalf("engine checkpoint: %v", err)
-	}
-	resumed := burstEngine()
-	if err := resumed.Restore(cp); err != nil {
-		t.Fatalf("engine restore: %v", err)
-	}
-	gt := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 2, Seed: 3})
-	gt.Attach(resumed)
-	if err := gt.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	resumed.Run(total - k)
-	if !reflect.DeepEqual(rt.CheckpointState(), gt.CheckpointState()) {
-		t.Errorf("resumed tracer state differs from straight run:\nref: %+v\ngot: %+v",
-			rt.CheckpointState(), gt.CheckpointState())
-	}
-}
-
-// TestSpanStateRejects: every malformed-state class is refused.
-func TestSpanStateRejects(t *testing.T) {
-	mk := func() obs.SpanState {
-		e := burstEngine()
-		st := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 1})
-		st.Attach(e)
-		e.Run(400)
-		return st.CheckpointState()
-	}
-	cases := []struct {
-		name string
-		mut  func(st *obs.SpanState)
-	}{
-		{"sample_every below 1", func(st *obs.SpanState) { st.SampleEvery = 0 }},
-		{"max_live out of range", func(st *obs.SpanState) { st.MaxLive = 0 }},
-		{"max_live hostile", func(st *obs.SpanState) { st.MaxLive = 1 << 21 }},
-		{"max_done too small", func(st *obs.SpanState) { st.MaxDone = 8 }},
-		{"live overflow", func(st *obs.SpanState) {
-			st.MaxLive = 1
-			st.Live = make([]obs.Span, 2)
-		}},
-		{"done count mismatch", func(st *obs.SpanState) { st.DoneTotal += 5 }},
-		{"corrupt npath", func(st *obs.SpanState) { st.Done[0].NPath = obs.SpanMaxHops + 1 }},
-		{"npath beyond hops", func(st *obs.SpanState) { st.Done[0].NPath = st.Done[0].Hops + 1 }},
-		{"span ends before start", func(st *obs.SpanState) { st.Done[0].End = st.Done[0].Start - 1 }},
-	}
-	for _, tc := range cases {
-		st := mk()
-		if len(st.Done) == 0 {
-			t.Fatalf("%s: fixture completed no spans", tc.name)
-		}
-		tc.mut(&st)
-		fresh := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 1})
-		if err := fresh.RestoreState(st); err == nil {
-			t.Errorf("%s: malformed state accepted", tc.name)
-		}
-	}
-	fresh := obs.NewSpanTracer(obs.SpanConfig{SampleEvery: 1})
-	if err := fresh.RestoreState(mk()); err != nil {
-		t.Errorf("pristine state rejected: %v", err)
 	}
 }

@@ -44,15 +44,6 @@ func (p *Pacer) Reset() {
 	p.sent = 0
 }
 
-// Restore sets the pacer's dynamic state to a previously observed
-// (Ticks, Emitted) pair — checkpoint/restore support. The rate (and,
-// for a CappedPacer, the budget) stays as constructed; the caller is
-// responsible for pairing the state with a matching construction.
-func (p *Pacer) Restore(ticks, sent int64) {
-	p.ticks = ticks
-	p.sent = sent
-}
-
 // CappedPacer is a Pacer that stops after emitting a fixed budget of
 // events. It is used by adversary phases of the form "inject N packets
 // at rate r starting at time t0": the stream paces at r until the

@@ -67,6 +67,8 @@ type Built struct {
 	Meter   *obs.Meter
 	Sampler *obs.Sampler
 	Spans   *obs.SpanTracer
+
+	src string // checkpoint source, computed on first use (checkpoint.go)
 }
 
 // Build validates the spec and instantiates it. Observers are attached
@@ -174,19 +176,24 @@ func (b *Built) Run() Outcome { return b.RunMode(b.Spec.Run.Mode) }
 // RunMode is Run under an explicit mode override ("", "step", "quiet"
 // or "leap") — the hook the differential matrix uses to hold one spec
 // to the same execution under all three engines paths.
-func (b *Built) RunMode(mode string) Outcome {
-	steps := b.Spec.Run.Steps
-	switch mode {
-	case "", ModeStep:
+func (b *Built) RunMode(mode string) Outcome { return b.runMode(mode, b.Spec.Run.Steps) }
+
+// runMode runs n steps under mode and returns the outcome. The spec
+// compiler admits only the three modes, so an unknown one is a caller
+// bug.
+func (b *Built) runMode(mode string, n int64) Outcome {
+	if mode == "" {
 		mode = ModeStep
-		b.Engine.Run(steps)
-	case ModeQuiet:
-		b.Engine.RunQuiet(steps)
-	case ModeLeap:
-		b.Engine.RunLeap(steps)
-	default:
-		panic(fmt.Sprintf("scenario: unknown run mode %q", mode))
 	}
+	if err := b.Engine.RunMode(mode, n); err != nil {
+		panic("scenario: " + err.Error())
+	}
+	return b.outcome(mode)
+}
+
+// outcome captures the engine's result and evaluates the checks.
+// Wall-clock nanoseconds are zeroed out of the snapshot.
+func (b *Built) outcome(mode string) Outcome {
 	out := Outcome{
 		Mode:         mode,
 		Snap:         b.Engine.Snap(),

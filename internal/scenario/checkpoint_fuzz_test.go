@@ -5,28 +5,25 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"aqt/internal/adversary"
 )
 
 // FuzzCheckpointLoad fuzzes the checkpoint decoder, seeded with real
 // checkpoints generated from every checked-in scenario at two split
-// points plus hand-picked rejects. The contract: any byte string is
-// either rejected with a positioned *Error or survives an
-// Encode → Decode → Encode fixed point; and an accepted document may
-// always be offered to Restore on a fresh build of the scenario it
-// names (rejection is fine, a panic is not).
+// points plus hand-picked rejects. The contract, "reject or resume,
+// never panic": any byte string is either rejected with a positioned
+// *Error or survives an Encode → Decode → Encode fixed point; and an
+// accepted document may always be offered to Restore on a fresh build
+// of the scenario whose source it names (rejection is fine, a panic is
+// not). A restore replays at most the spec's run.steps.
 func FuzzCheckpointLoad(f *testing.F) {
-	// Hostile draw counts must not stall an exec on the RandomWR RNG
-	// fast-forward; the cap still clears every corpus run by far.
-	adversary.MaxRandomDraws.Store(1 << 20)
-
 	corpus, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	specs := map[string]*Spec{}
+	specs := map[string]*Spec{} // by checkpoint source
+	var quick string            // a real quickstart checkpoint, for the hand-picked rejects
 	for _, path := range corpus {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -36,33 +33,41 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		specs[base.Name] = base
 		for _, k := range []int64{1, base.Run.Steps / 2} {
-			if k < 1 {
-				continue
-			}
 			s := *base
 			b, err := Build(&s)
 			if err != nil {
 				f.Fatal(err)
 			}
+			specs[b.source()] = base
 			b.Engine.Run(k)
 			cp, err := b.Checkpoint()
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(cp.Encode())
+			if filepath.Base(path) == "quickstart.json" && k == 1 {
+				quick = string(cp.Encode())
+			}
 		}
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	// Retired state-carrying versions.
 	f.Add([]byte(`{"version": 1, "scenario": "x"}`))
-	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1}}`))
+	f.Add([]byte(`{"version": 2, "scenario": "x", "engine": {"version": 1}, "has_latency": true, "latency": [3, 4]}`))
 	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1, "num_nodes": 2,
   "num_edges": 1, "policy": "FIFO", "now": 5, "started": true, "next_id": -1}}`))
-	// Retired version-2 shapes: the per-packet latency list and its flag.
-	f.Add([]byte(`{"version": 2, "scenario": "x", "engine": {"version": 1}, "has_latency": true, "latency": [3, 4]}`))
-	f.Add([]byte(`{"version": 3, "scenario": "x", "engine": {"version": 1}, "latency": [-1]}`))
+	// Current documents that must not resume.
+	for _, r := range [][2]string{
+		{`"mode": "leap"`, `"mode": "warp"`},
+		{`"step": 1`, `"step": -1`},
+		{`"step": 1`, `"step": 601`},
+		{`"step": 1`, `"step": 2`},
+		{`"digest": "`, `"digest": "0`},
+	} {
+		f.Add([]byte(strings.Replace(quick, r[0], r[1], 1)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint("fuzz.ckpt", data)
@@ -84,7 +89,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			t.Fatalf("second Encode differs from first:\n%s\n---\n%s", enc, enc2)
 		}
 		// Restore must reject gracefully or succeed — never panic.
-		base, ok := specs[cp2.Scenario]
+		base, ok := specs[cp2.Source]
 		if !ok {
 			return
 		}
@@ -96,16 +101,12 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err := b.Restore(cp2); err != nil {
 			return
 		}
+		if b.Engine.Now() != cp2.Step {
+			t.Fatalf("restored to step %d, checkpoint names %d", b.Engine.Now(), cp2.Step)
+		}
 		// A restored engine must be runnable.
-		if left := s.Run.Steps - cp2.Engine.Now; left > 0 {
-			b.Engine.Run(minI64(left, 64))
+		if left := s.Run.Steps - cp2.Step; left > 0 {
+			b.Engine.Run(min(left, 64))
 		}
 	})
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

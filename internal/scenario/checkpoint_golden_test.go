@@ -11,14 +11,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite checkpoint golden files")
 
-// TestCheckpointGolden pins the checkpoint wire format byte-for-byte:
-// two corpus scenarios — quickstart (sequence/script/burst adversary,
-// sampler via the "recorder" alias + latency) and e14 (bounded drop-tail with real drops) —
-// run to a fixed step and encoded. Any change to the encoding shows up
-// here first and forces a deliberate decision: bump CheckpointVersion
-// (and sim.CheckpointVersion if the engine document changed) or fix
-// the regression. Regenerate with `go test ./internal/scenario -run
-// TestCheckpointGolden -update`.
+// TestCheckpointGolden pins the checkpoint document byte-for-byte: two
+// corpus scenarios — quickstart (sequence/script/burst adversary, leap
+// mode) and e14 (bounded drop-tail with real drops) — run to a fixed
+// step and encoded. The document carries the spec's source hash and the
+// state digest, so a change to the format, to the spec encoding or to
+// the execution up to that step shows up here first and forces a
+// deliberate decision: bump sim.CheckpointVersion or fix the regression.
+// Regenerate with `go test ./internal/scenario -run TestCheckpointGolden
+// -update`.
 func TestCheckpointGolden(t *testing.T) {
 	cases := []struct {
 		file string

@@ -14,6 +14,7 @@ import (
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
+	"aqt/internal/obs"
 	"aqt/internal/policy"
 	"aqt/internal/sim"
 )
@@ -33,19 +34,22 @@ func buildFresh(t *testing.T, base *Spec) *Built {
 // runSegment advances b.Engine by n steps under mode.
 func runSegment(t *testing.T, b *Built, mode string, n int64) {
 	t.Helper()
-	if n == 0 {
-		return
+	if err := b.Engine.RunMode(mode, n); err != nil {
+		t.Fatal(err)
 	}
-	switch mode {
-	case ModeStep:
-		b.Engine.Run(n)
-	case ModeQuiet:
-		b.Engine.RunQuiet(n)
-	case ModeLeap:
-		b.Engine.RunLeap(n)
-	default:
-		t.Fatalf("unknown mode %q", mode)
-	}
+}
+
+// spanView is everything a SpanTracer shows: its counters, retained
+// spans and residence histograms.
+type spanView struct {
+	Missed, DoneTotal uint64
+	Live              int
+	Done              []obs.Span
+	Hists             obs.RegistryState
+}
+
+func viewOf(st *obs.SpanTracer) spanView {
+	return spanView{st.Missed(), st.DoneTotal(), st.Live(), st.Done(), st.Registry().State()}
 }
 
 // requireSameObservers compares every observer's externally observable
@@ -53,11 +57,8 @@ func runSegment(t *testing.T, b *Built, mode string, n int64) {
 func requireSameObservers(t *testing.T, label string, ref, got *Built) {
 	t.Helper()
 	if ref.Window != nil {
-		if !reflect.DeepEqual(ref.Window.UsageState(), got.Window.UsageState()) {
-			t.Errorf("%s: window usage differs", label)
-		}
 		re, ge := ref.Window.Check(), got.Window.Check()
-		if (re == nil) != (ge == nil) || (re != nil && re.Error() != ge.Error()) {
+		if (re == nil) != (ge == nil) {
 			t.Errorf("%s: window verdict differs: ref=%v got=%v", label, re, ge)
 		}
 	}
@@ -74,25 +75,29 @@ func requireSameObservers(t *testing.T, label string, ref, got *Built) {
 		}
 	}
 	if ref.Spans != nil {
-		rs, gs := ref.Spans.CheckpointState(), got.Spans.CheckpointState()
+		rs, gs := viewOf(ref.Spans), viewOf(got.Spans)
 		if !reflect.DeepEqual(rs, gs) {
 			t.Errorf("%s: span tracer state differs:\nref: %+v\ngot: %+v", label, rs, gs)
 		}
 	}
 }
 
-// checkpointSplit runs base for k steps, checkpoints through the full
-// wire format (Encode -> DecodeCheckpoint -> Encode fixed point), then
-// restores onto a fresh build and runs the remaining total-k steps.
+// checkpointSplit runs base for k steps under mode, checkpoints through
+// the full wire format (Encode -> DecodeCheckpoint -> Encode fixed
+// point), then restores onto a fresh build, which replays the k steps
+// under mode, and runs the remaining total-k steps.
 func checkpointSplit(t *testing.T, base *Spec, mode string, k, total int64) *Built {
 	t.Helper()
 	a := buildFresh(t, base)
 	runSegment(t, a, mode, k)
-	cp, err := a.Checkpoint()
+	cp, err := a.checkpoint(mode)
 	if err != nil {
 		t.Fatalf("Checkpoint at k=%d: %v", k, err)
 	}
 	data := cp.Encode()
+	if len(data) > 512 {
+		t.Fatalf("k=%d: checkpoint is %d bytes, want <= 512", k, len(data))
+	}
 	cp2, err := DecodeCheckpoint("mem.ckpt", data)
 	if err != nil {
 		t.Fatalf("DecodeCheckpoint at k=%d: %v", k, err)
@@ -104,15 +109,19 @@ func checkpointSplit(t *testing.T, base *Spec, mode string, k, total int64) *Bui
 	if err := b.Restore(cp2); err != nil {
 		t.Fatalf("Restore at k=%d: %v", k, err)
 	}
+	if err := adversary.SameExecution(a.Engine, b.Engine); err != nil {
+		t.Fatalf("k=%d: restored build differs at the checkpoint: %v", k, err)
+	}
 	runSegment(t, b, mode, total-k)
 	return b
 }
 
 // TestCheckpointResumeCorpus is the resume-equivalence acceptance gate:
-// for every checked-in scenario, every run mode, and a fan of split
-// points k (first step, last step, and a spec-seeded random interior
-// point), run(T) and run(k); save; load; run(T-k) must agree on the
-// full equivalence contract — snapshot modulo Nanos, per-edge queues
+// for every checked-in scenario, every run mode, and four split points
+// k (first step, midpoint, last step, and a spec-seeded random interior
+// point), run(T) and run(k); save; load (replaying k); run(T-k) must
+// agree on the Outcome (snapshot, max residence, check results) and on
+// the full equivalence contract — snapshot modulo Nanos, per-edge queues
 // packet by packet, max residence — and on every configured observer's
 // state. Leap-window statistics are deliberately NOT compared: a
 // checkpoint boundary legitimately splits a leap window in two.
@@ -130,10 +139,12 @@ func TestCheckpointResumeCorpus(t *testing.T) {
 			for _, mode := range []string{ModeStep, ModeQuiet, ModeLeap} {
 				ref := buildFresh(t, base)
 				runSegment(t, ref, mode, total)
+				want := ref.outcome(mode)
+				want.Leaps = sim.LeapStats{}
 				h := fnv.New64a()
 				fmt.Fprintf(h, "%s/%s", base.Name, mode)
 				rng := rand.New(rand.NewSource(int64(h.Sum64())))
-				ks := []int64{1, total - 1, 1 + rng.Int63n(total)}
+				ks := []int64{1, total / 2, total - 1, 1 + rng.Int63n(total)}
 				for _, k := range ks {
 					label := fmt.Sprintf("%s/k=%d", mode, k)
 					got := checkpointSplit(t, base, mode, k, total)
@@ -141,6 +152,11 @@ func TestCheckpointResumeCorpus(t *testing.T) {
 						t.Errorf("%s: resumed run diverges: %v", label, err)
 					}
 					requireSameObservers(t, label, ref, got)
+					out := got.outcome(mode)
+					out.Leaps = sim.LeapStats{}
+					if !reflect.DeepEqual(out, want) {
+						t.Errorf("%s: outcome differs:\nwant: %+v\ngot:  %+v", label, want, out)
+					}
 				}
 			}
 		})
@@ -219,8 +235,8 @@ func TestCheckpointedRunMatchesRunMode(t *testing.T) {
 				saves := 0
 				got, err := seg.RunCheckpointed(mode, base.Run.Steps/3+1, func(cp *Checkpoint, step int64) error {
 					saves++
-					if cp.Scenario != base.Name {
-						return fmt.Errorf("checkpoint names %q", cp.Scenario)
+					if cp.Source != seg.source() || cp.Mode != mode || cp.Step != step || cp.Digest != seg.Engine.Digest() {
+						return fmt.Errorf("checkpoint %+v does not name step %d of this %s run", cp, step, mode)
 					}
 					return nil
 				})
@@ -246,11 +262,12 @@ func TestCheckpointedRunMatchesRunMode(t *testing.T) {
 // randomized harness (sim.TestLeapRandomDifferential): random line and
 // ring topologies, random burst scripts, all three policy families —
 // but here the differential is a checkpoint/restore split at a random
-// interior step, through the engine-level wire format, with the
-// resumed half running under a randomly chosen mode. Runs under -race
-// via `make race`.
+// interior step, through the engine-level wire format, with the prefix
+// replayed and the rest run under randomly chosen modes. Runs under
+// -race via `make race`.
 func TestCheckpointRandomAdversaryDifferential(t *testing.T) {
 	pols := []policy.Policy{policy.FIFO{}, policy.LIS{}, policy.NTG{}}
+	modes := []string{ModeStep, ModeQuiet, ModeLeap}
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -287,14 +304,17 @@ func TestCheckpointRandomAdversaryDifferential(t *testing.T) {
 			pol := pols[rng.Intn(len(pols))]
 			steps := int64(500 + rng.Intn(1500))
 			k := 1 + rng.Int63n(steps-1)
-			mode := []string{ModeStep, ModeLeap}[rng.Intn(2)]
+			pre, post := modes[rng.Intn(3)], modes[rng.Intn(3)]
+			source := sim.SourceDigest([]byte(fmt.Sprintf("differential seed %d", seed)))
 
 			direct := sim.New(g, pol, adversary.NewBurstScript(streams...))
 			direct.Run(steps)
 
 			half := sim.New(g, pol, adversary.NewBurstScript(streams...))
-			half.Run(k)
-			cp, err := half.Checkpoint()
+			if err := half.RunMode(pre, k); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := half.Checkpoint(source, pre)
 			if err != nil {
 				t.Fatalf("engine checkpoint at k=%d: %v", k, err)
 			}
@@ -307,51 +327,81 @@ func TestCheckpointRandomAdversaryDifferential(t *testing.T) {
 				t.Fatalf("k=%d: engine Encode -> Decode -> Encode is not a fixed point", k)
 			}
 			resumed := sim.New(g, pol, adversary.NewBurstScript(streams...))
-			if err := resumed.Restore(cp2); err != nil {
+			if err := resumed.Restore(cp2, source); err != nil {
 				t.Fatalf("engine restore at k=%d: %v", k, err)
 			}
-			if mode == ModeLeap {
-				resumed.RunLeap(steps - k)
-			} else {
-				resumed.Run(steps - k)
+			if err := resumed.RunMode(post, steps-k); err != nil {
+				t.Fatal(err)
 			}
 			if err := adversary.SameExecution(direct, resumed); err != nil {
-				t.Errorf("seed=%d k=%d mode=%s: %v", seed, k, mode, err)
+				t.Errorf("seed=%d k=%d modes=%s/%s: %v", seed, k, pre, post, err)
 			}
 		})
 	}
 }
 
-// TestCheckpointRejectsStaleAndHostile: a version-1 document (which
-// carried the retired "recorder" state) and a sampler state whose
-// every×factor overflows to zero are both refused with errors — the
-// latter used to restore and then panic with a divide by zero on the
-// next step.
+// TestCheckpointRejectsStaleAndHostile: every document that does not
+// name a state this build replays to is refused with an error — never
+// a panic, never a silent resume.
 func TestCheckpointRejectsStaleAndHostile(t *testing.T) {
-	base := parseSpecFile(t, filepath.Join("..", "..", "scenarios", "quickstart.json"))
+	path := filepath.Join("..", "..", "scenarios", "quickstart.json")
+	base := parseSpecFile(t, path)
 	a := buildFresh(t, base)
 	a.Engine.Run(100)
 	cp, err := a.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := *cp
-	stale.Version = 1
-	if _, err := DecodeCheckpoint("stale.ckpt", stale.Encode()); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("version-1 checkpoint: error %v, want an unsupported-version error", err)
-	}
-	if err := buildFresh(t, base).Restore(&stale); err == nil {
-		t.Error("Restore accepted a version-1 checkpoint")
-	}
-
-	hostile, err := DecodeCheckpoint("hostile.ckpt", cp.Encode())
+	doc := string(cp.Encode())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostile.Sampler.Every, hostile.Sampler.Factor = 4, 1<<62
-	b := buildFresh(t, base)
-	if err := b.Restore(hostile); err == nil {
-		t.Fatal("Restore accepted a sampler state whose stride overflows")
+	// Spec A with one byte changed: the warm-up burst sends 4, not 3.
+	edited := bytes.Replace(data, []byte(`"burst": 3,`), []byte(`"burst": 4,`), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatal("fixture: burst field not found")
+	}
+	editedSpec, err := Parse("edited.json", edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := buildFresh(t, base)
+	ran.Engine.Run(1)
+	flipped := []byte(cp.Digest)
+	flipped[0] = "10"[min(int(flipped[0]-'0'), 1)] // another hex digit
+	for _, tc := range []struct {
+		name, doc string
+		into      *Built
+		wantSub   string
+	}{
+		{"spec with one byte changed", doc, buildFresh(t, editedSpec), "source"},
+		{"step beyond run.steps", strings.Replace(doc, `"step": 100`, fmt.Sprintf(`"step": %d`, base.Run.Steps+1), 1), nil, "beyond"},
+		{"negative step", strings.Replace(doc, `"step": 100`, `"step": -100`, 1), nil, "negative step"},
+		{"unknown mode", strings.Replace(doc, `"mode": "leap"`, `"mode": "warp"`, 1), nil, "warp"},
+		{"flipped digest", strings.Replace(doc, cp.Digest, string(flipped), 1), nil, "state at step 100 replays to " + cp.Digest},
+		{"version 1", strings.Replace(doc, `"version": 4`, `"version": 1`, 1), nil, "version 1"},
+		{"version 2", strings.Replace(doc, `"version": 4`, `"version": 2`, 1), nil, "version 2"},
+		{"version 3", strings.Replace(doc, `"version": 4`, `"version": 3`, 1), nil, "version 3"},
+		{"build that has already run", doc, ran, "must not have run"},
+	} {
+		if tc.doc == doc && tc.into == nil {
+			t.Fatalf("%s: fixture left the document unchanged", tc.name)
+		}
+		into := tc.into
+		if into == nil {
+			into = buildFresh(t, base)
+		}
+		got, err := DecodeCheckpoint("hostile.ckpt", []byte(tc.doc))
+		if err == nil {
+			err = into.Restore(got)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantSub)
+		}
+	}
+	if err := buildFresh(t, base).Restore(cp); err != nil {
+		t.Errorf("the unaltered checkpoint no longer restores: %v", err)
 	}
 }
 
@@ -404,46 +454,27 @@ func TestLatencyAliasBuildsOneMeter(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsRetiredLatency: version 3 dropped the
-// per-packet "latency" list and its "has_latency" flag. A version-2
-// document, or a current one still carrying a latency field, is
-// refused with a positioned error — never a panic.
+// TestCheckpointRejectsRetiredLatency: versions 1–3 carried engine,
+// adversary and observer state — version 2 also a per-packet "latency"
+// list and its "has_latency" flag. Every such document, and a current
+// one carrying a retired field, is refused with a positioned *Error
+// that names the version where there is one — never a panic.
 func TestCheckpointRejectsRetiredLatency(t *testing.T) {
-	base := parseSpecFile(t, filepath.Join("..", "..", "scenarios", "quickstart.json"))
-	a := buildFresh(t, base)
-	a.Engine.Run(100)
-	cp, err := a.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := cp.Encode()
-	v2 := bytes.Replace(cur, []byte(`"version": 3,`), []byte(`"version": 2,`), 1)
-	if bytes.Equal(v2, cur) {
-		t.Fatal("fixture: version field not found")
-	}
-	if !strings.Contains(string(cur), `"meter"`) {
-		t.Fatal(`fixture: the "latency" observer should checkpoint as "meter"`)
-	}
-	v2Latency := bytes.Replace(v2, []byte(`  "meter"`), []byte(`  "has_latency": true,
-  "latency": [3, 4],
-  "meter"`), 1)
-	for name, doc := range map[string][]byte{
-		"version 2":              v2,
-		"version 2 with latency": v2Latency,
-		"version 3 with latency": bytes.Replace(cur, []byte(`  "meter"`), []byte(`  "latency": [3, 4],
-  "meter"`), 1),
-		"version 3 with has_latency": bytes.Replace(cur, []byte(`  "meter"`), []byte(`  "has_latency": true,
-  "meter"`), 1),
+	for name, doc := range map[string]string{
+		"version 1":  `{"version": 1, "scenario": "x", "engine": {"version": 1}, "recorder": {}}`,
+		"version 2":  `{"version": 2, "scenario": "x", "engine": {"version": 1}, "has_latency": true, "latency": [3, 4]}`,
+		"version 3":  `{"version": 3, "scenario": "x", "engine": {"version": 1, "now": 5}, "meter": {}}`,
+		"v4 latency": `{"version": 4, "latency": [3, 4]}`,
+		"v4 engine":  `{"version": 4, "engine": {}}`,
 	} {
-		_, err := DecodeCheckpoint("retired.ckpt", doc)
+		_, err := DecodeCheckpoint("retired.ckpt", []byte(doc))
 		var se *Error
 		if !errors.As(err, &se) {
 			t.Errorf("%s: error %v, want a positioned *Error", name, err)
+			continue
 		}
-	}
-	stale := *cp
-	stale.Version = 2
-	if err := buildFresh(t, base).Restore(&stale); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Errorf("Restore of a version-2 checkpoint: error %v, want an unsupported-version error", err)
+		if v := strings.TrimPrefix(name, "version "); v != name && !strings.Contains(err.Error(), "version "+v) {
+			t.Errorf("%s: error %v does not name the version", name, err)
+		}
 	}
 }

@@ -31,11 +31,11 @@ const (
 	maxBufferCap  = 1 << 20
 )
 
-// Run modes.
+// Run modes (sim's).
 const (
-	ModeStep  = "step"
-	ModeQuiet = "quiet"
-	ModeLeap  = "leap"
+	ModeStep  = sim.ModeStep
+	ModeQuiet = sim.ModeQuiet
+	ModeLeap  = sim.ModeLeap
 )
 
 // Observer names.

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Version is the spec format version this package reads and writes.
@@ -179,9 +180,17 @@ type InjGroup struct {
 	Tag   int
 }
 
-// MarshalJSON implements json.Marshaler ([t, route, n, tag]).
+// MarshalJSON implements json.Marshaler ([t, route, n, tag]). Replay
+// specs hold hundreds of thousands of groups, so it formats without fmt.
 func (gr InjGroup) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("[%d,%d,%d,%d]", gr.T, gr.Route, gr.N, gr.Tag)), nil
+	b := append(make([]byte, 0, 32), '[')
+	for i, v := range [4]int64{gr.T, int64(gr.Route), gr.N, int64(gr.Tag)} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, ']'), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

@@ -289,56 +289,3 @@ func BenchmarkRunLeapE13(b *testing.B) {
 		})
 	}
 }
-
-// newCheckpointEngine is the Step/Line32/FIFO engine the checkpoint
-// pair captures and restores.
-func newCheckpointEngine() *sim.Engine {
-	g := graph.Line(32)
-	adv := adversary.NewRandomWR(g, 24, rational.New(1, 3), 4, 7)
-	return sim.New(g, policy.FIFO{}, adv)
-}
-
-// BenchmarkCheckpointSave is one full state capture plus JSON encode
-// of a warmed Line(32) engine under random (w,r) traffic. Checkpoints
-// run once per segment, not per step, so this pins absolute cost.
-func BenchmarkCheckpointSave(b *testing.B) {
-	b.Run("Line32", func(b *testing.B) {
-		e := newCheckpointEngine()
-		e.Run(2048)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cp, err := e.Checkpoint()
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = cp.Encode()
-		}
-	})
-}
-
-// BenchmarkCheckpointRestore is the full resume path of the same
-// engine: decode the document, build a fresh engine the same way, and
-// apply the state.
-func BenchmarkCheckpointRestore(b *testing.B) {
-	b.Run("Line32", func(b *testing.B) {
-		src := newCheckpointEngine()
-		src.Run(2048)
-		cp, err := src.Checkpoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		data := cp.Encode()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cp, err := sim.DecodeCheckpoint(data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := newCheckpointEngine().Restore(cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -28,15 +28,22 @@ func burstEngine(pol policy.Policy, cap int, drop sim.DropPolicy) *sim.Engine {
 	return sim.NewWithConfig(g, pol, adv, sim.Config{BufferCap: cap, Drop: drop})
 }
 
+// testSource names the engines of these tests; each test builds its
+// engines one way, so one source serves them all.
+var testSource = sim.SourceDigest([]byte("sim checkpoint tests"))
+
 // roundTrip checkpoints e through the full wire format and restores
 // onto fresh, failing the test on any stage error.
 func roundTrip(t *testing.T, e, fresh *sim.Engine) {
 	t.Helper()
-	cp, err := e.Checkpoint()
+	cp, err := e.Checkpoint(testSource, sim.ModeStep)
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	data := cp.Encode()
+	if len(data) > 512 {
+		t.Fatalf("checkpoint is %d bytes, want <= 512", len(data))
+	}
 	cp2, err := sim.DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatalf("DecodeCheckpoint: %v", err)
@@ -44,8 +51,11 @@ func roundTrip(t *testing.T, e, fresh *sim.Engine) {
 	if data2 := cp2.Encode(); !bytes.Equal(data, data2) {
 		t.Fatal("Encode -> Decode -> Encode is not a fixed point")
 	}
-	if err := fresh.Restore(cp2); err != nil {
+	if err := fresh.Restore(cp2, testSource); err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	if err := adversary.SameExecution(e, fresh); err != nil {
+		t.Fatalf("restored engine differs at the checkpoint: %v", err)
 	}
 }
 
@@ -127,7 +137,8 @@ func TestCheckpointDropAccounting(t *testing.T) {
 // MaxSamples bound so an obs.Sampler goes through several power-of-two
 // downsampling rounds, splits at an interior step, and requires the
 // resumed sampler's full state — series, stride, factor, peak — to
-// match the uninterrupted run exactly.
+// match the uninterrupted run exactly: the replayed prefix reaches the
+// resumed engine's sampler like any other steps.
 func TestCheckpointRecorderDownsampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1e6-step run")
@@ -146,21 +157,10 @@ func TestCheckpointRecorderDownsampled(t *testing.T) {
 	direct, directRec := build()
 	direct.Run(total)
 
-	half, halfRec := build()
+	half, _ := build()
 	half.Run(k)
-	cp, err := half.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recState := halfRec.CheckpointState()
-
 	resumed, resumedRec := build()
-	if err := resumed.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumedRec.RestoreState(recState); err != nil {
-		t.Fatal(err)
-	}
+	roundTrip(t, half, resumed)
 	resumed.Run(total - k)
 
 	if err := adversary.SameExecution(direct, resumed); err != nil {
@@ -178,8 +178,10 @@ func TestCheckpointRecorderDownsampled(t *testing.T) {
 }
 
 // TestCheckpointRejections covers the restore-side error paths: a
-// checkpoint must not restore onto a mismatched or already-run engine,
-// and corrupt documents must be rejected with positioned errors.
+// checkpoint must not restore onto an already-run engine or one of
+// another source, an engine built differently under the same source
+// fails the digest check, and corrupt documents are rejected with
+// *CheckpointErrors.
 func TestCheckpointRejections(t *testing.T) {
 	g := graph.Line(5)
 	mkAdv := func() sim.Adversary {
@@ -190,46 +192,55 @@ func TestCheckpointRejections(t *testing.T) {
 	}
 	src := sim.New(g, policy.FIFO{}, mkAdv())
 	src.Run(50)
-	cp, err := src.Checkpoint()
+	cp, err := src.Checkpoint(testSource, sim.ModeStep)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	reject := func(name string, target *sim.Engine, wantSub string) {
+	reject := func(name string, target *sim.Engine, source, wantSub string) {
 		t.Helper()
-		err := target.Restore(cp)
-		if err == nil || !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %v, want substring %q", name, err, wantSub)
+		err := target.Restore(cp, source)
+		if _, ok := err.(*sim.CheckpointError); !ok || !strings.Contains(err.Error(), wantSub) {
+			t.Errorf("%s: error %v, want a *CheckpointError containing %q", name, err, wantSub)
 		}
 	}
 	ran := sim.New(g, policy.FIFO{}, mkAdv())
 	ran.Run(1)
-	reject("already-run target", ran, "must not have run")
-	reject("policy mismatch", sim.New(g, policy.LIS{}, mkAdv()), "policy mismatch")
-	reject("graph mismatch", sim.New(graph.Line(7), policy.FIFO{}, mkAdv()), "graph mismatch")
-	reject("adversary mismatch", sim.New(g, policy.FIFO{}, sim.NopAdversary{}), `want "nop"`)
-	bounded := sim.NewWithConfig(g, policy.FIFO{}, mkAdv(), sim.Config{BufferCap: 4, Drop: sim.DropTail{}})
-	reject("buffer-cap mismatch", bounded, "buffer cap mismatch")
-
-	// Seeded-but-not-run targets are legal: seeds are wiped.
-	seeded := sim.New(g, policy.FIFO{}, mkAdv())
-	seeded.Seed(packet.Injection{Route: []graph.EdgeID{g.MustEdge("e1"), g.MustEdge("e2")}, Tag: "seed"})
-	if err := seeded.Restore(cp); err != nil {
-		t.Fatalf("seeded target refused: %v", err)
-	}
-	if err := adversary.SameExecution(src, seeded); err != nil {
-		t.Fatalf("restore over seeds diverges: %v", err)
+	reject("already-run target", ran, testSource, "must not have run")
+	reject("source mismatch", sim.New(g, policy.FIFO{}, mkAdv()), sim.SourceDigest([]byte("other")), "source")
+	// The same source over a different build: the replay reaches
+	// another state and the digest check names the step and both
+	// digests.
+	digest := fmt.Sprintf("state at step 50 replays to %%s, checkpoint records %s", cp.Digest)
+	for name, target := range map[string]*sim.Engine{
+		"policy":     sim.New(g, policy.LIS{}, mkAdv()),
+		"graph":      sim.New(graph.Line(7), policy.FIFO{}, mkAdv()),
+		"adversary":  sim.New(g, policy.FIFO{}, sim.NopAdversary{}),
+		"buffer cap": sim.NewWithConfig(g, policy.FIFO{}, mkAdv(), sim.Config{BufferCap: 1, Drop: sim.DropTail{}}),
+	} {
+		if name == "policy" {
+			// FIFO and LIS agree on this single-stream line; seed an
+			// older packet so they part ways.
+			target.Seed(packet.Injection{Route: []graph.EdgeID{g.MustEdge("e1"), g.MustEdge("e2")}, Tag: "seed"})
+		}
+		err := target.Restore(cp, testSource)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(digest, target.Digest())) {
+			t.Errorf("%s mismatch: error %v, want the digest mismatch at step 50", name, err)
+		}
 	}
 
 	corrupt := []struct {
 		name, doc, wantSub string
 	}{
 		{"bad version", `{"version": 9}`, "version"},
-		{"trailing data", cpString(cp) + `{"x":1}`, "trailing"},
-		{"unknown field", `{"version": 1, "bogus": true}`, "bogus"},
-		{"negative counter", `{"version": 1, "num_nodes": 2, "num_edges": 1, "policy": "FIFO", "injected": -3}`, "negative"},
-		{"drops mismatch", `{"version": 1, "num_nodes": 2, "num_edges": 1, "policy": "FIFO",
-		  "now": 1, "started": true, "dropped": 2, "stats": {"steps": 1}}`, "drop"},
+		{"retired version", `{"version": 1, "num_nodes": 2, "engine": {}}`, "version 1"},
+		{"trailing data", string(cp.Encode()) + `{"x":1}`, "trailing"},
+		{"unknown field", `{"version": 4, "bogus": true}`, "bogus"},
+		{"negative step", strings.Replace(string(cp.Encode()), `"step": 50`, `"step": -50`, 1), "negative step"},
+		{"unknown mode", strings.Replace(string(cp.Encode()), `"mode": "step"`, `"mode": "warp"`, 1), "warp"},
+		{"short digest", strings.Replace(string(cp.Encode()), cp.Digest, cp.Digest[:10], 1), "digest"},
+		{"upper-case source", strings.Replace(string(cp.Encode()), cp.Source, strings.ToUpper(cp.Source), 1), "source"},
+		{"oversized", `{"version": 4, "source": "` + strings.Repeat("0", 5000) + `"}`, "limit"},
 	}
 	for _, tc := range corrupt {
 		_, err := sim.DecodeCheckpoint([]byte(tc.doc))
@@ -246,12 +257,10 @@ func TestCheckpointRejections(t *testing.T) {
 	}
 }
 
-func cpString(cp *sim.Checkpoint) string { return string(cp.Encode()) }
-
 // TestCheckpointMidStepRefused: an engine inside a step's substeps (an
 // injection hook fires mid-inject) must refuse to checkpoint rather
-// than serialize a state no restore could make consistent. OnStep, by
-// contrast, fires between steps, where checkpointing is legal.
+// than name a state no replay stops at. OnStep, by contrast, fires
+// between steps, where checkpointing is legal.
 func TestCheckpointMidStepRefused(t *testing.T) {
 	g := graph.Line(3)
 	adv := adversary.NewBurstScript(adversary.BurstStream{
@@ -261,9 +270,9 @@ func TestCheckpointMidStepRefused(t *testing.T) {
 	e := sim.New(g, policy.FIFO{}, adv)
 	var midErr, stepErr error
 	e.AddObserver(&injProbe{onInject: func(en *sim.Engine) {
-		_, midErr = en.Checkpoint()
+		_, midErr = en.Checkpoint(testSource, sim.ModeStep)
 	}, onStep: func(en *sim.Engine) {
-		_, stepErr = en.Checkpoint()
+		_, stepErr = en.Checkpoint(testSource, sim.ModeStep)
 	}, e: e})
 	e.Run(2)
 	if midErr == nil || !strings.Contains(midErr.Error(), "mid-step") {
@@ -284,52 +293,56 @@ func (p *injProbe) OnStep(e *sim.Engine)               { p.onStep(e) }
 func (p *injProbe) OnInject(t int64, _ *packet.Packet) { p.onInject(p.e) }
 
 // TestCheckpointRandomWindowed round-trips the RandomWR adversary plus
-// its WindowValidator: the restored run must match the direct run and
-// both validators must agree, across several split points.
+// a ladder of WindowValidators, across several split points: the
+// restored run must match the direct run, the validator at the
+// adversary's own (w,r) must pass, and every tighter one must reach the
+// direct run's verdict — the replayed prefix reaches the validators
+// like any other injections.
 func TestCheckpointRandomWindowed(t *testing.T) {
-	const total = 600
-	build := func() (*sim.Engine, *adversary.RandomWR, *adversary.WindowValidator) {
+	const total, w = 600, 40
+	rates := []rational.Rat{rational.New(1, 2), rational.New(2, 5), rational.New(1, 3), rational.New(1, 4)}
+	build := func() (*sim.Engine, []*adversary.WindowValidator) {
 		g := graph.Ring(8)
-		w, rate := int64(40), rational.New(1, 2)
-		adv := adversary.NewRandomWR(g, w, rate, 4, 99)
-		wv := adversary.NewWindowValidator(w, rate)
-		e := sim.New(g, policy.LIS{}, adv)
-		e.AddObserver(wv)
-		return e, adv, wv
+		e := sim.New(g, policy.LIS{}, adversary.NewRandomWR(g, w, rates[0], 4, 99))
+		var wvs []*adversary.WindowValidator
+		for _, r := range rates {
+			wv := adversary.NewWindowValidator(w, r)
+			e.AddObserver(wv)
+			wvs = append(wvs, wv)
+		}
+		return e, wvs
 	}
-	direct, _, directWV := build()
+	verdicts := func(wvs []*adversary.WindowValidator) (v []bool) {
+		for _, wv := range wvs {
+			v = append(v, wv.Check() == nil)
+		}
+		return v
+	}
+	direct, directWVs := build()
 	direct.Run(total)
+	want := verdicts(directWVs)
+	if !want[0] || want[len(want)-1] {
+		t.Fatalf("verdicts %v: want the adversary's own rate to pass and the tightest to fail", want)
+	}
 	for _, k := range []int64{1, 299, 599} {
-		half, _, halfWV := build()
+		half, _ := build()
 		half.Run(k)
-		cp, err := half.Checkpoint()
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		us := halfWV.UsageState()
-		resumed, _, resumedWV := build()
-		if err := resumed.Restore(cp); err != nil {
-			t.Fatalf("k=%d: restore: %v", k, err)
-		}
-		if err := resumedWV.RestoreUsage(us); err != nil {
-			t.Fatalf("k=%d: restore usage: %v", k, err)
-		}
+		resumed, wvs := build()
+		roundTrip(t, half, resumed)
 		resumed.Run(total - k)
 		if err := adversary.SameExecution(direct, resumed); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if !reflect.DeepEqual(directWV.UsageState(), resumedWV.UsageState()) {
-			t.Fatalf("k=%d: window usage diverged", k)
-		}
-		if err := resumedWV.Check(); err != nil {
-			t.Fatalf("k=%d: restored run violates its own window bound: %v", k, err)
+		if got := verdicts(wvs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: validator verdicts %v, direct run's %v", k, got, want)
 		}
 	}
 }
 
 // TestCheckpointDeterministicEncoding: two checkpoints of identical
 // runs must encode byte-identically (the format has no map iteration,
-// timestamps or other nondeterminism), across random workloads.
+// timestamps or other nondeterminism), across random workloads, and
+// runs of different lengths must not.
 func TestCheckpointDeterministicEncoding(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -340,13 +353,48 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 		a, b := build(), build()
 		a.Run(steps)
 		b.Run(steps)
-		ca, errA := a.Checkpoint()
-		cb, errB := b.Checkpoint()
+		ca, errA := a.Checkpoint(testSource, sim.ModeQuiet)
+		cb, errB := b.Checkpoint(testSource, sim.ModeQuiet)
 		if errA != nil || errB != nil {
 			t.Fatalf("seed %d: %v / %v", seed, errA, errB)
 		}
 		if !bytes.Equal(ca.Encode(), cb.Encode()) {
 			t.Fatalf("seed %d: identical runs encode differently", seed)
 		}
+		b.Run(1)
+		if b.Digest() == ca.Digest {
+			t.Fatalf("seed %d: one more step left the digest unchanged", seed)
+		}
+	}
+}
+
+// TestDigestTracksSameExecution: the digest covers what
+// adversary.SameExecution compares — equal for the same execution under
+// every run mode, different as soon as one queued packet differs.
+func TestDigestTracksSameExecution(t *testing.T) {
+	ref := burstEngine(policy.LIS{}, 2, sim.DropTail{})
+	ref.Run(300)
+	for _, mode := range []string{sim.ModeStep, sim.ModeQuiet, sim.ModeLeap} {
+		e := burstEngine(policy.LIS{}, 2, sim.DropTail{})
+		if err := e.RunMode(mode, 300); err != nil {
+			t.Fatal(err)
+		}
+		if err := adversary.SameExecution(ref, e); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if e.Digest() != ref.Digest() {
+			t.Errorf("%s: digest differs on the same execution", mode)
+		}
+	}
+	if err := (&sim.Engine{}).RunMode("warp", 1); err == nil {
+		t.Error(`RunMode accepted mode "warp"`)
+	}
+	// Same counters, one packet's tag differs.
+	g := graph.Line(3)
+	a, b := sim.New(g, policy.FIFO{}, sim.NopAdversary{}), sim.New(g, policy.FIFO{}, sim.NopAdversary{})
+	a.Seed(packet.Injection{Route: []graph.EdgeID{g.MustEdge("e1")}, Tag: "x"})
+	b.Seed(packet.Injection{Route: []graph.EdgeID{g.MustEdge("e1")}, Tag: "y"})
+	if adversary.SameExecution(a, b) == nil || a.Digest() == b.Digest() {
+		t.Error("engines differing in one packet's tag share a digest")
 	}
 }

@@ -66,19 +66,6 @@ func (NopAdversary) PreStep(*Engine) {}
 // Inject implements Adversary.
 func (NopAdversary) Inject(*Engine) []packet.Injection { return nil }
 
-// CheckpointState implements CheckpointableAdversary (no state).
-func (NopAdversary) CheckpointState() (AdversaryState, error) {
-	return AdversaryState{Kind: "nop"}, nil
-}
-
-// RestoreState implements CheckpointableAdversary.
-func (NopAdversary) RestoreState(_ *Engine, st AdversaryState) error {
-	if st.Kind != "nop" {
-		return cperrf("adversary.kind", "adversary state kind %q, want \"nop\"", st.Kind)
-	}
-	return nil
-}
-
 // InjectFunc adapts a function to the Adversary interface (no
 // rerouting).
 type InjectFunc func(e *Engine) []packet.Injection
@@ -214,7 +201,7 @@ type Engine struct {
 	// construction allocates nothing for it.
 	routes *routeStore
 
-	// paths checks route simplicity for admit, reroutes and restore
+	// paths checks route simplicity for admit and reroutes
 	// without allocating. It is per-engine scratch: engines run in
 	// parallel (search probes) and never share one.
 	paths graph.PathChecker

@@ -89,15 +89,6 @@ func (s *routeStore) store(route []graph.EdgeID) []graph.EdgeID {
 	return r
 }
 
-// intern returns a stored route equal to route, which passed the
-// admission check: the one stored for its first edge, else a new one.
-func (s *routeStore) intern(route []graph.EdgeID) []graph.EdgeID {
-	if r := s.stored(route); r != nil {
-		return r
-	}
-	return s.store(route)
-}
-
 // memoized returns the route the memo holds for a reroute of a packet
 // at pos on old to old[:pos+1] + suffix + ext at step now, or nil. The
 // memo is emptied first when the step changes or it reached memoCap

@@ -33,7 +33,8 @@
 # naming the entries, when an entry's median B/A ns/op ratio exceeds
 # 1.08 and its interval lies above 1, when an entry's median allocs/op
 # rises, or when a metric is "new". Entries present on one side only
-# are printed, never failed.
+# are printed, never failed. It refuses to run with fewer than 5
+# rounds.
 #
 # Run it from the repository root.
 set -euo pipefail
@@ -45,6 +46,13 @@ if [ $# -lt 2 ]; then
 fi
 base=$1 workload=$2 rounds=${3:-5}
 seed=${SEED:-1} seconds=${AB_SECONDS:-10}
+# With fewer rounds the bootstrap interval of a median is about the
+# [min, max] of its ratios, so one entry drifting on every round fails
+# an A-vs-A run on noise alone.
+if [ "$workload" = micro ] && [ "$rounds" -lt 5 ]; then
+	echo "tools/ab.sh: the micro gate needs at least 5 rounds, got $rounds" >&2
+	exit 2
+fi
 
 root=$(git rev-parse --show-toplevel)
 out=$root/.ab_build
