@@ -30,9 +30,9 @@ vet:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
 
-# Every engine, observer and pump-layer benchmark, once.
+# Every engine, observer, pump-layer and spec-parsing benchmark, once.
 bench-check:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/obs ./internal/adversary
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/obs ./internal/adversary ./internal/scenario
 
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
@@ -48,10 +48,10 @@ ROUNDS ?= 5
 ab:
 	bash tools/ab.sh $(BASE) $(WORKLOAD) $(ROUNDS)
 
-# Every engine, observer and pump-layer benchmark at the default
-# benchtime.
+# Every engine, observer, pump-layer and spec-parsing benchmark at the
+# default benchtime.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/obs ./internal/adversary
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/obs ./internal/adversary ./internal/scenario
 
 # The hot-path regression gate: the Step* benchmarks of internal/sim
 # and internal/obs paired against BASE (the ab micro workload); exits

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -475,6 +476,81 @@ func TestRandomWRCompliance(t *testing.T) {
 	}
 	if err := wv.Check(); err != nil {
 		t.Errorf("RandomWR violated its own constraint: %v", err)
+	}
+}
+
+// injLog records every injection's time and route for an independent
+// recount of the rate constraints.
+type injLog struct{ times [][]int64 } // by edge ID
+
+func (l *injLog) OnStep(*sim.Engine) {}
+
+func (l *injLog) OnInject(t int64, p *packet.Packet) {
+	for _, e := range p.Route {
+		for int(e) >= len(l.times) {
+			l.times = append(l.times, nil)
+		}
+		l.times[e] = append(l.times[e], t)
+	}
+}
+
+// TestValidatorVerdictDeterministic: a RandomWR run validated at half
+// its rate breaks the constraint on several edges; every check reports
+// the same violation on every call, on the lowest violating edge.
+func TestValidatorVerdictDeterministic(t *testing.T) {
+	g := graph.Complete(4)
+	w, half := int64(12), rational.New(1, 4)
+	e := sim.New(g, fifo(), NewRandomWR(g, w, rational.New(1, 2), 3, 7))
+	wv, rv, log := NewWindowValidator(w, half), NewRateValidator(half), &injLog{}
+	e.AddObserver(wv)
+	e.AddObserver(rv)
+	e.AddObserver(log)
+	e.Run(300)
+	// Lowest edge with w consecutive steps holding more than
+	// floor(r·w) of its packets, and with any interval holding more
+	// than ceil(r·|I|), by brute force over the logged times.
+	winEdge, rateEdge, winEdges := -1, -1, 0
+	for id, ts := range log.times {
+		winBad, rateBad := false, false
+		for i := range ts {
+			for j := i; j < len(ts); j++ {
+				n := int64(j - i + 1)
+				winBad = winBad || ts[j]-ts[i] < w && n > half.FloorMulInt(w)
+				rateBad = rateBad || n > half.CeilMulInt(ts[j]-ts[i]+1)
+			}
+		}
+		if winBad {
+			winEdges++
+		}
+		if winBad && winEdge < 0 {
+			winEdge = id
+		}
+		if rateBad && rateEdge < 0 {
+			rateEdge = id
+		}
+	}
+	if winEdges < 2 {
+		t.Fatalf("%d edges violate the window bound, want >= 2 for the test to bite", winEdges)
+	}
+	for _, c := range []struct {
+		name  string
+		check func() error
+		edge  int
+	}{
+		{"WindowValidator.Check", wv.Check, winEdge},
+		{"RateValidator.Check", rv.Check, rateEdge},
+		{"RateValidator.CheckBudget", func() error { return rv.CheckBudget(8, 64) }, rateEdge},
+	} {
+		first := c.check()
+		var v Violation
+		if !errors.As(first, &v) || int(v.Edge) != c.edge {
+			t.Fatalf("%s = %v, want a violation on edge %d", c.name, first, c.edge)
+		}
+		for i := 0; i < 50; i++ {
+			if err := c.check(); err.Error() != first.Error() {
+				t.Fatalf("%s: call %d reports %q, first call %q", c.name, i, err, first)
+			}
+		}
 	}
 }
 

@@ -198,6 +198,7 @@ func ValidateRecording(rec []RecordedInjection, rate rational.Rat, maxPerEdge in
 	}
 	u.sortAll()
 	for e, ts := range u.times {
+		e := graph.EdgeID(e)
 		if len(ts) <= maxPerEdge {
 			if err := checkAllIntervals(e, ts, rate); err != nil {
 				return err

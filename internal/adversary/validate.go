@@ -3,7 +3,6 @@ package adversary
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"aqt/internal/graph"
 	"aqt/internal/packet"
@@ -11,18 +10,21 @@ import (
 	"aqt/internal/sim"
 )
 
-// usage records, per edge, the (sorted) times at which injected packets
+// usage records, per edge, the times at which injected packets
 // requiring that edge entered the system. Reroutes also register the
 // newly added edges at the original injection time of the packet,
 // because the rate constraint of Definition 2.1 / the rate-r adversary
 // is about the routes packets "have to follow" — after a reroute, the
 // packet's route includes the new edges, attributed to its injection.
+// times is indexed by EdgeID and grows on demand; the checks scan it in
+// ascending edge ID, so the violation they report is the same on every
+// run of one execution: the lowest violating edge's earliest window.
 type usage struct {
-	times map[graph.EdgeID][]int64
+	times [][]int64
 }
 
 func newUsage() *usage {
-	return &usage{times: make(map[graph.EdgeID][]int64)}
+	return &usage{}
 }
 
 func (u *usage) add(t int64, edges []graph.EdgeID) {
@@ -30,14 +32,18 @@ func (u *usage) add(t int64, edges []graph.EdgeID) {
 		if slices.Contains(edges[:i], e) {
 			continue // an edge counts once per packet (routes are simple anyway)
 		}
+		if n := int(e) + 1; n > len(u.times) {
+			u.times = append(u.times, make([][]int64, n-len(u.times))...)
+		}
 		u.times[e] = append(u.times[e], t)
 	}
 }
 
+// sortAll sorts each edge's times: reroutes charge earlier injection
+// times out of order.
 func (u *usage) sortAll() {
-	for e := range u.times {
-		ts := u.times[e]
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	for _, ts := range u.times {
+		slices.Sort(ts)
 	}
 }
 
@@ -119,6 +125,7 @@ func (rv *RateValidator) OnReroute(t int64, p *packet.Packet, oldRoute []graph.E
 func (rv *RateValidator) Check() error {
 	rv.u.sortAll()
 	for e, ts := range rv.u.times {
+		e := graph.EdgeID(e)
 		for i := 0; i < len(ts); i++ {
 			for j := i; j < len(ts); j++ {
 				count := int64(j - i + 1)
@@ -152,6 +159,7 @@ func (rv *RateValidator) CheckAndNotify(e *sim.Engine) error {
 func (rv *RateValidator) CheckBudget(maxPerEdge int, maxWin int64) error {
 	rv.u.sortAll()
 	for e, ts := range rv.u.times {
+		e := graph.EdgeID(e)
 		if len(ts) <= maxPerEdge {
 			if err := checkAllIntervals(e, ts, rv.Rate); err != nil {
 				return err
@@ -214,6 +222,9 @@ func checkAnchoredIntervals(e graph.EdgeID, ts []int64, rate rational.Rat, maxWi
 // (sorted copy), for tests and diagnostics.
 func (rv *RateValidator) EdgeInjections(e graph.EdgeID) []int64 {
 	rv.u.sortAll()
+	if e < 0 || int(e) >= len(rv.u.times) {
+		return []int64{}
+	}
 	return append([]int64{}, rv.u.times[e]...)
 }
 
@@ -298,7 +309,7 @@ func (wv *WindowValidator) Check() error {
 				lo++
 			}
 			if count := int64(hi - lo + 1); count > bound {
-				return Violation{Edge: e, T1: ts[lo], T2: ts[hi], Count: count, Bound: bound}
+				return Violation{Edge: graph.EdgeID(e), T1: ts[lo], T2: ts[hi], Count: count, Bound: bound}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
@@ -25,28 +24,28 @@ func Load(path string) (*Spec, error) {
 
 // Parse decodes and fully validates a spec. file labels error messages
 // ("" for anonymous input). Every rejection is an *Error carrying the
-// 1-based line and JSON path of the offending value: unknown fields
-// are caught at their position, type mismatches via the decoder's byte
-// offset, and semantic violations via the path map recorded during the
-// strict walk.
+// 1-based line and JSON path of the offending value: the strict walk
+// rejects malformed JSON and unknown or duplicate fields at their
+// position, type mismatches are positioned by the decoder's byte
+// offset, and a semantic error from the compiler re-walks data to the
+// deepest value of its path present in the file. Nothing is recorded
+// for accepted input.
 func Parse(file string, data []byte) (*Spec, error) {
-	lines, err := strictCheck(file, data, reflect.TypeOf(Spec{}))
-	if err != nil {
+	if err := strictCheck(file, data); err != nil {
 		return nil, err
 	}
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
-		li := newLineIndex(data)
 		switch e := err.(type) {
 		case *json.UnmarshalTypeError:
-			return nil, &Error{File: file, Line: li.line(e.Offset), Path: e.Field,
+			return nil, &Error{File: file, Line: lineAt(data, e.Offset), Path: e.Field,
 				Msg: fmt.Sprintf("cannot decode %s into %s", e.Value, e.Type)}
 		case *json.SyntaxError:
-			return nil, &Error{File: file, Line: li.line(e.Offset), Msg: e.Error()}
+			return nil, &Error{File: file, Line: lineAt(data, e.Offset), Msg: e.Error()}
 		}
 		return nil, &Error{File: file, Line: 1, Msg: err.Error()}
 	}
-	if _, err := compile(ctx{file: file, lines: lines}, &s); err != nil {
+	if _, err := compile(ctx{file: file, data: data}, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil

@@ -64,14 +64,16 @@ type compiled struct {
 	drop    sim.DropPolicy // nil when bufCap == 0
 }
 
-// ctx carries the error-positioning state through compilation.
+// ctx carries the error-positioning state through compilation: the
+// file name and the bytes the spec was parsed from (nil when it was
+// not), which an error re-walks for its line.
 type ctx struct {
-	file  string
-	lines map[string]int
+	file string
+	data []byte
 }
 
 func (c ctx) errf(path, format string, args ...interface{}) error {
-	return &Error{File: c.file, Line: lineOf(c.lines, path), Path: path,
+	return &Error{File: c.file, Line: lineOf(c.data, path), Path: path,
 		Msg: fmt.Sprintf(format, args...)}
 }
 

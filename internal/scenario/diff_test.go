@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,6 +70,29 @@ func TestEmittedSpecsRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(s2.Encode(), data) {
 			t.Errorf("%s: Encode is not a fixed point", em.ID)
+		}
+	}
+}
+
+// TestCorpusEncodesToItself pins Encode's layout: every checked-in
+// spec was written by Encode, and re-encoding its parse reproduces the
+// file byte for byte.
+func TestCorpusEncodesToItself(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenarios: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Parse(filepath.Base(p), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s.Encode(), data) {
+			t.Errorf("%s: Encode(Parse(file)) differs from the file", p)
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // decode → compile), seeded from every checked-in scenario plus a few
 // hand-picked rejects. The contract: any byte string is either
 // rejected with a positioned *Error or decodes to a spec that survives
-// an Encode → Parse round trip unchanged. Parse must never panic —
+// an Encode → Parse round trip unchanged, and Parse accepts exactly
+// what the token-Decoder reference walker (strict_test.go) accepts,
+// rejecting with the same *Error. Parse must never panic —
 // topology builders and adversary constructors are recover-guarded in
 // the compiler, and the fuzzer holds them to it.
 func FuzzScenarioLoad(f *testing.F) {
@@ -58,7 +60,16 @@ func FuzzScenarioLoad(f *testing.F) {
   "policy": {"default": "FIFO"}, "adversary": {"kind": "none"},
   "buffer": {"cap": 0, "drop": "tail"}, "run": {"steps": 10}}`))
 
+	// Malformed JSON: truncations, bad scalars and misplaced
+	// delimiters, each rejected at the Decoder's position.
+	f.Add([]byte("{\n  \"version\": 1,\n  \"topology\": {\"kind\": \"ring\""))
+	f.Add([]byte(`{"name": "a\u00e9\q", "run": {"observers": [1,,2], "steps": -0.5e+3}}`))
+	f.Add([]byte(`{"policy": {"edges": {"g1.e1": "LIS", "g1\u002ee1": "NTG"}}} ]`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := sameAsRef(data); err != nil {
+			t.Fatal(err)
+		}
 		s, err := Parse("fuzz.json", data)
 		if err != nil {
 			var se *Error

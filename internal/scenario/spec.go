@@ -284,159 +284,63 @@ func (s *Spec) Encode() []byte {
 		panic(fmt.Sprintf("scenario: encode: %v", err))
 	}
 	var buf bytes.Buffer
-	dec := json.NewDecoder(bytes.NewReader(flat))
-	dec.UseNumber()
-	if err := renderValue(dec, &buf, ""); err != nil {
-		panic(fmt.Sprintf("scenario: encode: %v", err))
-	}
+	w := walker{data: flat}
+	w.render(&buf, "")
 	buf.WriteByte('\n')
 	return buf.Bytes()
 }
 
-// renderValue pretty-prints one JSON value from the token stream,
-// keeping scalar-only arrays on a single line.
-func renderValue(dec *json.Decoder, buf *bytes.Buffer, indent string) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
+// render writes the value at pos of compact JSON (json.Marshal's
+// output, so valid and without whitespace) in Encode's layout; each
+// scalar is copied as it stands.
+func (w *walker) render(buf *bytes.Buffer, indent string) {
+	open, start := w.data[w.pos], w.pos
+	if open != '{' && open != '[' {
+		w.scalar()
+		buf.Write(w.data[start:w.pos])
+		return
 	}
-	return renderToken(dec, buf, indent, tok)
+	end := open + 2 // '}' or ']'
+	oneLine := open == '[' && w.scalarArray()
+	buf.WriteByte(open)
+	n := 0
+	for w.pos++; w.data[w.pos] != end; n++ {
+		if n > 0 {
+			w.pos++ // ','
+			buf.WriteByte(',')
+		}
+		if !oneLine {
+			buf.WriteString("\n" + indent + "  ")
+		} else if n > 0 {
+			buf.WriteByte(' ')
+		}
+		if open == '{' {
+			k := w.pos
+			w.scalar()
+			buf.Write(w.data[k:w.pos])
+			buf.WriteString(": ")
+			w.pos++ // ':'
+		}
+		w.render(buf, indent+"  ")
+	}
+	if !oneLine && n > 0 {
+		buf.WriteString("\n" + indent)
+	}
+	w.pos++
+	buf.WriteByte(end)
 }
 
-func renderToken(dec *json.Decoder, buf *bytes.Buffer, indent string, tok json.Token) error {
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			return renderObject(dec, buf, indent)
-		case '[':
-			return renderArray(dec, buf, indent)
+// scalarArray reports whether the array at pos holds no object or
+// array, so Encode keeps it on one line.
+func (w *walker) scalarArray() bool {
+	r := walker{data: w.data, pos: w.pos + 1}
+	for ; r.data[r.pos] != ']'; r.pos++ {
+		if c := r.data[r.pos]; c == '{' || c == '[' {
+			return false
 		}
-		return fmt.Errorf("unexpected delimiter %v", t)
-	default:
-		return renderScalar(buf, tok)
-	}
-}
-
-func renderScalar(buf *bytes.Buffer, tok json.Token) error {
-	switch t := tok.(type) {
-	case json.Number:
-		buf.WriteString(t.String())
-		return nil
-	default:
-		b, err := json.Marshal(tok)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		return nil
-	}
-}
-
-func renderObject(dec *json.Decoder, buf *bytes.Buffer, indent string) error {
-	if !dec.More() {
-		if _, err := dec.Token(); err != nil { // consume '}'
-			return err
-		}
-		buf.WriteString("{}")
-		return nil
-	}
-	buf.WriteString("{\n")
-	inner := indent + "  "
-	first := true
-	for dec.More() {
-		if !first {
-			buf.WriteString(",\n")
-		}
-		first = false
-		key, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		buf.WriteString(inner)
-		if err := renderScalar(buf, key); err != nil {
-			return err
-		}
-		buf.WriteString(": ")
-		if err := renderValue(dec, buf, inner); err != nil {
-			return err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // consume '}'
-		return err
-	}
-	buf.WriteString("\n" + indent + "}")
-	return nil
-}
-
-func renderArray(dec *json.Decoder, buf *bytes.Buffer, indent string) error {
-	// Buffer the whole array's first-level tokens to decide the layout:
-	// all-scalar arrays render on one line, anything nested goes
-	// multi-line.
-	var elems []json.Token
-	scalars := true
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		if _, isDelim := tok.(json.Delim); isDelim {
-			// Nested value: render the tail eagerly into per-element
-			// buffers below; switch to the multi-line path now.
-			scalars = false
-			elems = append(elems, tok)
+		if r.scalar(); r.data[r.pos] == ']' {
 			break
 		}
-		elems = append(elems, tok)
 	}
-	if scalars {
-		if _, err := dec.Token(); err != nil { // consume ']'
-			return err
-		}
-		buf.WriteString("[")
-		for i, tok := range elems {
-			if i > 0 {
-				buf.WriteString(", ")
-			}
-			if err := renderScalar(buf, tok); err != nil {
-				return err
-			}
-		}
-		buf.WriteString("]")
-		return nil
-	}
-	buf.WriteString("[\n")
-	inner := indent + "  "
-	for i, tok := range elems {
-		if i > 0 {
-			buf.WriteString(",\n")
-		}
-		buf.WriteString(inner)
-		var err error
-		if isDelim(tok) {
-			err = renderToken(dec, buf, inner, tok)
-		} else {
-			err = renderScalar(buf, tok)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for dec.More() {
-		buf.WriteString(",\n")
-		buf.WriteString(inner)
-		if err := renderValue(dec, buf, inner); err != nil {
-			return err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // consume ']'
-		return err
-	}
-	buf.WriteString("\n" + indent + "]")
-	return nil
-}
-
-func isDelim(tok json.Token) bool {
-	_, ok := tok.(json.Delim)
-	return ok
+	return true
 }

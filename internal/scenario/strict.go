@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
-	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Error is a line-precise spec rejection: the file (as passed to
@@ -38,250 +38,373 @@ func (e *Error) Error() string {
 	return b.String()
 }
 
-// lineIndex maps byte offsets to 1-based line numbers.
-type lineIndex []int64
-
-func newLineIndex(data []byte) lineIndex {
-	starts := lineIndex{0}
-	for i, b := range data {
-		if b == '\n' {
-			starts = append(starts, int64(i+1))
-		}
-	}
-	return starts
-}
-
-func (li lineIndex) line(off int64) int {
-	// First line start strictly after off, minus one.
-	n := sort.Search(len(li), func(i int) bool { return li[i] > off })
-	if n < 1 {
-		return 1
-	}
-	return n
+// lineAt is the 1-based line holding byte offset off of data.
+func lineAt(data []byte, off int64) int {
+	off = min(max(off, 0), int64(len(data)))
+	return 1 + bytes.Count(data[:off], []byte{'\n'})
 }
 
 var unmarshalerType = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
 
-// walker walks the JSON token stream against the Spec's type
-// structure, recording the line of every path and rejecting unknown
-// object fields at their position.
-type walker struct {
-	dec   *json.Decoder
-	lines lineIndex
-	file  string
-	at    map[string]int // path → line
+// shape is the JSON structure a Go type decodes from: a struct's fields
+// by JSON name, or a map's or slice's element. A nil *shape accepts any
+// well-formed value: scalars, interface{} fields and json.Unmarshaler
+// types, whose content json.Unmarshal checks.
+type shape struct {
+	kind   reflect.Kind // Struct, Map or Slice (arrays too)
+	fields map[string]field
+	elem   *shape
 }
 
-// strictCheck validates data's structure against root's JSON shape:
-// well-formed JSON, no unknown fields anywhere, no trailing data. It
-// returns the path → line map used to position later semantic errors.
-// Types implementing json.Unmarshaler (and interface{} fields) accept
-// any well-formed subtree.
-func strictCheck(file string, data []byte, root reflect.Type) (map[string]int, error) {
-	w := &walker{
-		dec:   json.NewDecoder(bytes.NewReader(data)),
-		lines: newLineIndex(data),
-		file:  file,
-		at:    map[string]int{},
-	}
-	w.dec.UseNumber()
-	if err := w.value("", root); err != nil {
-		return nil, err
-	}
-	if _, err := w.dec.Token(); err != io.EOF {
-		return nil, &Error{File: file, Line: w.lines.line(w.dec.InputOffset()),
-			Msg: "trailing data after the spec object"}
-	}
-	return w.at, nil
+// field is a struct field's shape and its bit in an object's set of
+// fields present (every spec struct has fewer than 64 fields).
+type field struct {
+	bit   uint64
+	shape *shape
 }
 
-func (w *walker) errf(path string, format string, args ...interface{}) error {
-	return &Error{File: w.file, Line: w.lines.line(w.dec.InputOffset()),
-		Path: path, Msg: fmt.Sprintf(format, args...)}
-}
+// specShape is built once, so concurrent Parse calls (`aqt scenario
+// run` fans files across workers) only read it.
+var specShape = shapeOf(reflect.TypeOf(Spec{}), map[reflect.Type]*shape{})
 
-// value consumes one JSON value at path, expected to decode into typ
-// (nil = accept anything).
-func (w *walker) value(path string, typ reflect.Type) error {
-	tok, err := w.dec.Token()
-	if err != nil {
-		if err == io.EOF {
-			return w.errf(path, "unexpected end of file")
+func shapeOf(t reflect.Type, memo map[reflect.Type]*shape) *shape {
+	for t.Kind() == reflect.Ptr {
+		t = t.Elem()
+	}
+	if s, ok := memo[t]; ok || reflect.PtrTo(t).Implements(unmarshalerType) {
+		return s
+	}
+	s := &shape{kind: t.Kind()}
+	switch s.kind {
+	case reflect.Struct:
+		memo[t], s.fields = s, map[string]field{}
+		for i := 0; i < t.NumField(); i++ {
+			sf := t.Field(i)
+			name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if sf.PkgPath != "" || name == "-" {
+				continue // unexported or ignored
+			}
+			if name == "" {
+				name = sf.Name
+			}
+			s.fields[name] = field{1 << len(s.fields), shapeOf(sf.Type, memo)}
 		}
-		return w.errf(path, "%v", err)
-	}
-	w.at[path] = w.lines.line(w.dec.InputOffset())
-	typ = derefType(typ)
-	if d, ok := tok.(json.Delim); ok {
-		switch d {
-		case '{':
-			return w.object(path, typ)
-		case '[':
-			return w.array(path, typ)
+	case reflect.Map, reflect.Slice, reflect.Array:
+		memo[t] = s
+		if s.kind == reflect.Array {
+			s.kind = reflect.Slice
 		}
-	}
-	return nil // scalar; type mismatches surface via json.Unmarshal below
-}
-
-// derefType unwraps pointers and turns wildcard-ish types into nil.
-func derefType(typ reflect.Type) reflect.Type {
-	for typ != nil && typ.Kind() == reflect.Ptr {
-		typ = typ.Elem()
-	}
-	if typ == nil || typ.Kind() == reflect.Interface ||
-		reflect.PtrTo(typ).Implements(unmarshalerType) {
+		s.elem = shapeOf(t.Elem(), memo)
+	default:
 		return nil
 	}
-	return typ
+	return s
 }
 
-func (w *walker) object(path string, typ reflect.Type) error {
-	var fields map[string]reflect.Type
-	var elem reflect.Type
-	if typ != nil {
-		switch typ.Kind() {
-		case reflect.Struct:
-			fields = structFields(typ)
-		case reflect.Map:
-			elem = typ.Elem()
+// walker checks JSON bytes against a shape in one recursive pass that
+// records nothing. It rejects what encoding/json's token Decoder
+// rejects, with the Decoder's message, at the offset the Decoder had
+// read to. The error path is built only on a rejection: each level of
+// the recursion adds its segment on the way back up.
+type walker struct {
+	data []byte
+	pos  int // the Decoder's read offset: the next unread byte
+	msg  string
+	segs []pathSeg // innermost first
+}
+
+// pathSeg is an object key, or an array index when idx >= 0.
+type pathSeg struct {
+	key string
+	idx int
+}
+
+// strictCheck validates data's structure against the Spec's JSON shape:
+// well-formed JSON, no unknown or duplicate fields anywhere (encoding/json
+// would match keys case-insensitively and keep the last duplicate), no
+// trailing data. Rejections are positioned *Errors.
+func strictCheck(file string, data []byte) error {
+	w := walker{data: data}
+	if _, ok := w.peek(); !ok {
+		w.msg = "unexpected end of file"
+	} else if w.value(specShape) {
+		if _, more := w.peek(); !more {
+			return nil
+		}
+		w.msg = "trailing data after the spec object"
+	}
+	return &Error{File: file, Line: lineAt(data, int64(w.pos)), Path: w.path(), Msg: w.msg}
+}
+
+// peek skips whitespace to the next byte. At the end of the input it
+// leaves pos after the last token, where the Decoder reports EOF.
+func (w *walker) peek() (byte, bool) {
+	for i := w.pos; i < len(w.data); i++ {
+		if c := w.data[i]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			w.pos = i
+			return c, true
 		}
 	}
-	// Duplicate keys are rejected here because encoding/json silently
-	// resolves them last-wins at Unmarshal time — the first occurrence
-	// would vanish without a trace, and the at[path] line map would
-	// point semantic errors at the wrong occurrence.
-	var seen map[string]bool
-	for w.dec.More() {
-		tok, err := w.dec.Token()
-		if err != nil {
-			return w.errf(path, "%v", err)
+	return 0, false
+}
+
+func (w *walker) fail(msg string) bool {
+	w.msg = msg
+	return false
+}
+
+func (w *walker) badChar(c byte, context string) bool {
+	return w.fail("invalid character " + quoteChar(c) + context)
+}
+
+// up adds a path segment to a rejection on its way out of a child; as
+// fail returns false, `fail(msg) || up(seg)` records both.
+func (w *walker) up(key string, idx int) bool {
+	w.segs = append(w.segs, pathSeg{key, idx})
+	return false
+}
+
+func (w *walker) path() string {
+	p := ""
+	for i := len(w.segs) - 1; i >= 0; i-- {
+		p = childPath(p, w.segs[i])
+	}
+	return p
+}
+
+func childPath(p string, s pathSeg) string {
+	switch {
+	case s.idx >= 0:
+		return p + "[" + strconv.Itoa(s.idx) + "]"
+	case p == "":
+		return s.key
+	}
+	return p + "." + s.key
+}
+
+// value checks the value starting at pos, a non-space byte.
+func (w *walker) value(s *shape) bool {
+	switch c := w.data[w.pos]; c {
+	case '{':
+		return w.object(s)
+	case '[':
+		return w.array(s)
+	case ']', '}', ':', ',':
+		return w.badChar(c, " looking for beginning of value")
+	}
+	return w.scalar()
+}
+
+// scalar passes the string, number or literal at pos. Its extent is
+// the quoted run, or the run of bytes a number or literal is made of,
+// and json.Valid checks it without allocating. When that fails, the
+// Decoder reads one value from pos: it finds a shorter scalar (the "1"
+// of "1x", whose "x" the caller then rejects) or rejects the bytes with
+// its message.
+func (w *walker) scalar() bool {
+	d, end := w.data, w.pos+1
+	if d[w.pos] == '"' {
+		for ; end < len(d) && d[end] != '"'; end++ {
+			if d[end] == '\\' {
+				end++
+			}
 		}
-		key, _ := tok.(string)
-		childPath := key
-		if path != "" {
-			childPath = path + "." + key
+		end = min(end+1, len(d))
+	} else {
+		for end < len(d) && strings.IndexByte("+-.0123456789Eaeflnrstu", d[end]) >= 0 {
+			end++
 		}
-		if seen[key] {
-			return &Error{File: w.file, Line: w.lines.line(w.dec.InputOffset()),
-				Path: childPath, Msg: fmt.Sprintf("duplicate field %q", key)}
-		}
-		if seen == nil {
-			seen = map[string]bool{}
-		}
-		seen[key] = true
-		var childType reflect.Type
+	}
+	if json.Valid(d[w.pos:end]) {
+		w.pos = end
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(d[w.pos:]))
+	var v interface{}
+	if err := dec.Decode(&v); err != nil {
+		return w.fail(err.Error())
+	}
+	w.pos += int(dec.InputOffset())
+	return true
+}
+
+func (w *walker) object(s *shape) bool {
+	var fields map[string]field
+	var elem *shape
+	if s != nil && s.kind == reflect.Struct {
+		fields = s.fields
+	} else if s != nil && s.kind == reflect.Map {
+		elem = s.elem
+	}
+	var seen uint64              // fields present, for a struct
+	var seenKeys map[string]bool // keys present, for a map or untyped object
+	w.pos++
+	for n := 0; ; n++ {
+		c, ok := w.peek()
 		switch {
-		case fields != nil:
-			ft, ok := fields[key]
-			if !ok {
-				return &Error{File: w.file, Line: w.lines.line(w.dec.InputOffset()),
-					Path: childPath, Msg: fmt.Sprintf("unknown field %q", key)}
+		case !ok:
+			return w.fail("unexpected end of file")
+		case c == '}':
+			w.pos++
+			return true
+		case n > 0 && c != ',':
+			return w.badChar(c, " after object key:value pair")
+		case n > 0:
+			w.pos++
+			if c, ok = w.peek(); !ok {
+				return w.fail("unexpected end of file")
+			} else if c != '"' {
+				return w.badChar(c, " looking for beginning of object key string")
 			}
-			childType = ft
-		case elem != nil:
-			childType = elem
+		case c != '"':
+			return w.badChar(c, "")
 		}
-		if err := w.value(childPath, childType); err != nil {
-			return err
+		key, ok := w.key()
+		if !ok {
+			return false
+		}
+		f, known := fields[string(key)]
+		dup := seen&f.bit != 0 || seenKeys[string(key)]
+		if fields == nil {
+			f.shape, known = elem, true
+			if seenKeys == nil {
+				seenKeys = map[string]bool{}
+			}
+			seenKeys[string(key)] = true
+		}
+		seen |= f.bit
+		if dup {
+			return w.fail(fmt.Sprintf("duplicate field %q", key)) || w.up(string(key), -1)
+		} else if !known {
+			return w.fail(fmt.Sprintf("unknown field %q", key)) || w.up(string(key), -1)
+		}
+		if c, ok = w.peek(); !ok {
+			return w.fail("unexpected end of file") || w.up(string(key), -1)
+		} else if c != ':' {
+			return w.badChar(c, " after object key") || w.up(string(key), -1)
+		}
+		w.pos++
+		if _, ok = w.peek(); !ok {
+			return w.fail("unexpected end of file") || w.up(string(key), -1)
+		}
+		if !w.value(f.shape) {
+			return w.up(string(key), -1)
 		}
 	}
-	if _, err := w.dec.Token(); err != nil { // consume '}'
-		return w.errf(path, "%v", err)
-	}
-	return nil
 }
 
-func (w *walker) array(path string, typ reflect.Type) error {
-	var elem reflect.Type
-	if typ != nil && (typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array) {
-		elem = typ.Elem()
+// key reads the object key string at pos. Its value is its bytes, or,
+// when it holds an escape or invalid UTF-8, what encoding/json
+// unescapes it to.
+func (w *walker) key() ([]byte, bool) {
+	start := w.pos
+	if !w.scalar() {
+		return nil, false
 	}
-	for i := 0; w.dec.More(); i++ {
-		if err := w.value(fmt.Sprintf("%s[%d]", path, i), elem); err != nil {
-			return err
-		}
+	raw := w.data[start:w.pos]
+	if bytes.IndexByte(raw, '\\') < 0 && utf8.Valid(raw) {
+		return raw[1 : len(raw)-1], true
 	}
-	if _, err := w.dec.Token(); err != nil { // consume ']'
-		return w.errf(path, "%v", err)
-	}
-	return nil
+	var k string
+	_ = json.Unmarshal(raw, &k) // cannot fail: scalar read a whole string
+	return []byte(k), true
 }
 
-var fieldCache = map[reflect.Type]map[string]reflect.Type{}
-
-// structFields maps JSON field names to field types for a struct type.
-// The cache is populated once per type at first use; Parse runs are
-// single-goroutine per call but the cache itself is only mutated under
-// lazy initialization of a handful of spec types, so prebuild them.
-func structFields(typ reflect.Type) map[string]reflect.Type {
-	if f, ok := fieldCache[typ]; ok {
-		return f
+func (w *walker) array(s *shape) bool {
+	var elem *shape
+	if s != nil && s.kind == reflect.Slice {
+		elem = s.elem
 	}
-	f := map[string]reflect.Type{}
-	for i := 0; i < typ.NumField(); i++ {
-		sf := typ.Field(i)
-		if sf.PkgPath != "" {
-			continue // unexported
-		}
-		name := sf.Name
-		if tag := sf.Tag.Get("json"); tag != "" {
-			if comma := strings.IndexByte(tag, ','); comma >= 0 {
-				tag = tag[:comma]
-			}
-			if tag == "-" {
-				continue
-			}
-			if tag != "" {
-				name = tag
+	w.pos++
+	for i := 0; ; i++ {
+		c, ok := w.peek()
+		switch {
+		case !ok:
+			return w.fail("unexpected end of file")
+		case c == ']':
+			w.pos++
+			return true
+		case c == '}' && i == 0:
+			return w.badChar(c, " looking for beginning of value")
+		case c == '}':
+			return w.badChar(c, " after array element")
+		case i > 0 && c != ',':
+			return w.badChar(c, " after array element") || w.up("", i)
+		case i > 0:
+			w.pos++
+			if _, ok = w.peek(); !ok {
+				return w.fail("unexpected end of file") || w.up("", i)
 			}
 		}
-		f[name] = sf.Type
+		if !w.value(elem) {
+			return w.up("", i)
+		}
 	}
-	fieldCache[typ] = f
-	return f
 }
 
-// init prebuilds the field cache for every spec type so concurrent
-// Parse calls (`aqt scenario run` fans files across workers) never race
-// on the map.
-func init() {
-	var seed func(t reflect.Type)
-	seen := map[reflect.Type]bool{}
-	seed = func(t reflect.Type) {
-		t = derefType(t)
-		if t == nil || seen[t] {
+// quoteChar formats c as encoding/json's syntax errors do.
+func quoteChar(c byte) string {
+	switch c {
+	case '\'':
+		return `'\''`
+	case '"':
+		return `'"'`
+	}
+	s := strconv.Quote(string(rune(c)))
+	return "'" + s[1:len(s)-1] + "'"
+}
+
+// lineOf positions a semantic error: the line of the deepest value on
+// path present in data, found by walking up the path (cut at its last
+// '.' or '[') as far as needed, e.g. an omitted field positions at its
+// parent. data is a spec Parse accepted; without one (nil) the line
+// is 1.
+func lineOf(data []byte, path string) int {
+	if data == nil {
+		return 1
+	}
+	at := make([]int, len(path)+1) // at[k]: 1 + offset of the last value whose path is path[:k]
+	w := walker{data: data}
+	w.peek()
+	w.find(path, "", at)
+	k := len(path)
+	for at[k] == 0 && k > 0 {
+		k = max(strings.LastIndexAny(path[:k], ".["), 0)
+	}
+	return lineAt(data, int64(at[k]-1))
+}
+
+// find walks the value at pos, whose path cur is a prefix of target,
+// into every child whose path also is, and records in at where each
+// such value starts; it skips every other child.
+func (w *walker) find(target, cur string, at []int) {
+	at[len(cur)] = w.pos + 1
+	open := w.data[w.pos]
+	if open != '{' && open != '[' {
+		w.scalar()
+		return
+	}
+	w.pos++
+	for i := 0; ; i++ {
+		if c, _ := w.peek(); c == '}' || c == ']' {
+			w.pos++
 			return
+		} else if c == ',' {
+			w.pos++
+			w.peek()
 		}
-		seen[t] = true
-		switch t.Kind() {
-		case reflect.Struct:
-			for name, ft := range structFields(t) {
-				_ = name
-				seed(ft)
-			}
-		case reflect.Slice, reflect.Array, reflect.Map:
-			seed(t.Elem())
+		seg := pathSeg{idx: i}
+		if open == '{' {
+			key, _ := w.key()
+			seg = pathSeg{key: string(key), idx: -1}
+			w.peek()
+			w.pos++ // ':'
+			w.peek()
+		}
+		if p := childPath(cur, seg); strings.HasPrefix(target, p) {
+			w.find(target, p, at)
+		} else {
+			w.value(nil)
 		}
 	}
-	seed(reflect.TypeOf(Spec{}))
-}
-
-// lineOf resolves the best-known line for a JSON path, walking up the
-// path when the exact node was not present in the file (e.g. a
-// semantic error about an omitted field positions at its parent).
-func lineOf(lines map[string]int, path string) int {
-	for p := path; ; {
-		if l, ok := lines[p]; ok {
-			return l
-		}
-		cut := strings.LastIndexAny(p, ".[")
-		if cut < 0 {
-			break
-		}
-		p = p[:cut]
-	}
-	if l, ok := lines[""]; ok {
-		return l
-	}
-	return 1
 }
