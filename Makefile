@@ -30,7 +30,8 @@ vet:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
 
-# Every engine, observer, pump-layer and spec-parsing benchmark, once.
+# Every engine, observer, pump-layer, spec-parsing and spec-building
+# benchmark, once.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/obs ./internal/adversary ./internal/scenario
 
@@ -48,8 +49,8 @@ ROUNDS ?= 5
 ab:
 	bash tools/ab.sh $(BASE) $(WORKLOAD) $(ROUNDS)
 
-# Every engine, observer, pump-layer and spec-parsing benchmark at the
-# default benchtime.
+# Every engine, observer, pump-layer, spec-parsing and spec-building
+# benchmark at the default benchtime.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/obs ./internal/adversary ./internal/scenario
 

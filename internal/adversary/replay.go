@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aqt/internal/graph"
@@ -111,47 +113,116 @@ func (r *ScheduleRecorder) Len() int {
 	return len(r.rec)
 }
 
-// Replay is an oblivious adversary that re-issues a finished
-// recording: each packet is injected at its original step with its
-// final route. Seeds (step 0) are not injected by Replay; pass them to
-// the engine with SeedRecording before stepping.
+// Schedule is an oblivious injection schedule indexed by step. Add
+// fills it; Replay seals it and serves it to any number of engine
+// runs, each through its own cursor. Sealed, it is read-only.
+type Schedule struct {
+	// Before sealing, steps[k] and off[k] are the step and first
+	// injection of the k-th run of Adds at one step. Sealed, steps
+	// holds the distinct injection steps, increasing, and step
+	// steps[k] injects inj[off[k]:off[k+1]].
+	steps    []int64
+	off      []int
+	inj      []packet.Injection
+	unsorted bool // a run's step precedes the one before it
+	sealed   bool
+}
+
+// NewSchedule returns an empty schedule with room for n injections.
+func NewSchedule(n int) *Schedule {
+	return &Schedule{inj: make([]packet.Injection, 0, n)}
+}
+
+// Add appends n copies of inj at step (none when n < 1). Steps may
+// come in any order; the injections of one step keep the order they
+// were added in, which is their enqueue order. Add must not be called
+// after Replay.
+func (s *Schedule) Add(step int64, inj packet.Injection, n int64) {
+	if n < 1 {
+		return
+	}
+	if k := len(s.steps); k == 0 || s.steps[k-1] != step {
+		s.unsorted = s.unsorted || k > 0 && s.steps[k-1] > step
+		s.steps = append(s.steps, step)
+		s.off = append(s.off, len(s.inj))
+	}
+	for ; n > 0; n-- {
+		s.inj = append(s.inj, inj)
+	}
+}
+
+// Replay returns a fresh Replay of s for one engine run. The first
+// call seals s: runs added out of step order are stably sorted by step
+// and runs of one step merged, once. Once sealed, s is only read, so
+// its Replays may run on separate goroutines.
+func (s *Schedule) Replay() *Replay {
+	if !s.sealed {
+		s.sealed = true
+		s.off = append(s.off, len(s.inj))
+		if s.unsorted {
+			s.sort()
+		}
+	}
+	return &Replay{sched: s}
+}
+
+func (s *Schedule) sort() {
+	runs := make([]int, len(s.steps))
+	for k := range runs {
+		runs[k] = k
+	}
+	slices.SortStableFunc(runs, func(a, b int) int { return cmp.Compare(s.steps[a], s.steps[b]) })
+	steps, off := make([]int64, 0, len(s.steps)), make([]int, 0, len(s.off))
+	inj := make([]packet.Injection, 0, len(s.inj))
+	for _, k := range runs {
+		if n := len(steps); n == 0 || steps[n-1] != s.steps[k] {
+			steps = append(steps, s.steps[k])
+			off = append(off, len(inj))
+		}
+		inj = append(inj, s.inj[s.off[k]:s.off[k+1]]...)
+	}
+	s.steps, s.off, s.inj = steps, append(off, len(inj)), inj
+}
+
+// Replay is an oblivious adversary that re-issues a schedule: each
+// packet is injected at its step with its final route. A Replay serves
+// one engine run: its cursor only moves forward. Seeds (step 0) are
+// not injected by Replay; pass them to the engine with SeedRecording
+// before stepping.
 type Replay struct {
-	byStep map[int64][]packet.Injection
-	last   int64
-	steps  []int64 // distinct injection steps, increasing
-	cursor int     // index of the first step not yet known to be past
-	lastT  int64   // last step Inject ran at (0 before the first)
+	sched  *Schedule
+	cursor int   // index of the first step not known to be past
+	lastT  int64 // last step Inject ran at (0 before the first)
 }
 
 // NewReplay builds a Replay from a finished recording.
 func NewReplay(rec []RecordedInjection) *Replay {
-	rp := &Replay{byStep: make(map[int64][]packet.Injection)}
+	s := NewSchedule(len(rec))
 	for _, ri := range rec {
-		if ri.Step == 0 {
-			continue
-		}
-		rp.byStep[ri.Step] = append(rp.byStep[ri.Step], packet.Injection{
-			Route: ri.Route,
-			Tag:   ri.Tag,
-		})
-		if ri.Step > rp.last {
-			rp.last = ri.Step
+		if ri.Step != 0 {
+			s.Add(ri.Step, packet.Injection{Route: ri.Route, Tag: ri.Tag}, 1)
 		}
 	}
-	for step := range rp.byStep {
-		rp.steps = append(rp.steps, step)
-	}
-	sort.Slice(rp.steps, func(i, j int) bool { return rp.steps[i] < rp.steps[j] })
-	return rp
+	return s.Replay()
 }
 
 // PreStep implements sim.Adversary.
 func (*Replay) PreStep(*sim.Engine) {}
 
-// Inject implements sim.Adversary.
+// Inject implements sim.Adversary. The returned slice is the
+// schedule's own storage, capped so an append cannot reach the next
+// step's injections.
 func (rp *Replay) Inject(e *sim.Engine) []packet.Injection {
-	rp.lastT = e.Now()
-	return rp.byStep[e.Now()]
+	now, s := e.Now(), rp.sched
+	rp.lastT = now
+	for rp.cursor < len(s.steps) && s.steps[rp.cursor] < now {
+		rp.cursor++
+	}
+	if rp.cursor == len(s.steps) || s.steps[rp.cursor] != now {
+		return nil
+	}
+	end := s.off[rp.cursor+1]
+	return s.inj[s.off[rp.cursor]:end:end]
 }
 
 // StaticUntil implements sim.StaticAdversary: a recording is a pure
@@ -160,17 +231,23 @@ func (rp *Replay) Inject(e *sim.Engine) []packet.Injection {
 // (conservatively stale inside leaped windows, like BurstScript), and
 // forever once the recording is exhausted.
 func (rp *Replay) StaticUntil() int64 {
-	for rp.cursor < len(rp.steps) && rp.steps[rp.cursor] <= rp.lastT {
+	steps := rp.sched.steps
+	for rp.cursor < len(steps) && steps[rp.cursor] <= rp.lastT {
 		rp.cursor++
 	}
-	if rp.cursor == len(rp.steps) {
+	if rp.cursor == len(steps) {
 		return sim.Forever
 	}
-	return rp.steps[rp.cursor] - 1
+	return steps[rp.cursor] - 1
 }
 
-// LastStep returns the last step with injections.
-func (rp *Replay) LastStep() int64 { return rp.last }
+// LastStep returns the last step with injections (0 when none).
+func (rp *Replay) LastStep() int64 {
+	if n := len(rp.sched.steps); n > 0 {
+		return max(rp.sched.steps[n-1], 0)
+	}
+	return 0
+}
 
 // SeedRecording seeds a fresh engine with the recording's step-0
 // packets (the initial configuration), final routes included.

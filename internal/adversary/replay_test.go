@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"aqt/internal/graph"
@@ -172,5 +174,83 @@ func TestReplayLastStep(t *testing.T) {
 	rp := NewReplay(rec)
 	if rp.LastStep() != 5 {
 		t.Errorf("LastStep = %d", rp.LastStep())
+	}
+}
+
+// TestReplayMatchesByStepMap holds the step-indexed Replay to a naive
+// by-step map of the same schedule: recordings with steps out of order
+// and interleaved and with step-0 seeds, Schedules filled run by run
+// out of step order, and several Replays sharing one Schedule.
+func TestReplayMatchesByStepMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.Line(4)
+	routes := [][]graph.EdgeID{rt(g, "e1"), rt(g, "e2", "e3"), rt(g, "e4")}
+	draw := func(minStep int) RecordedInjection {
+		return RecordedInjection{Step: int64(minStep + rng.Intn(60-minStep)),
+			Route: routes[rng.Intn(len(routes))], Tag: string(rune('a' + rng.Intn(3)))}
+	}
+	for trial := 0; trial < 50; trial++ {
+		var rec []RecordedInjection
+		for i := rng.Intn(40); i > 0; i-- {
+			rec = append(rec, draw(0))
+		}
+		checkReplays(t, rng, rec, NewReplay(rec))
+
+		sched := NewSchedule(0)
+		var added []RecordedInjection
+		for i := rng.Intn(15); i > 0; i-- {
+			ri, n := draw(1), 1+rng.Intn(3)
+			sched.Add(ri.Step, packet.Injection{Route: ri.Route, Tag: ri.Tag}, int64(n))
+			for ; n > 0; n-- {
+				added = append(added, ri)
+			}
+		}
+		checkReplays(t, rng, added, sched.Replay(), sched.Replay(), sched.Replay())
+	}
+}
+
+// checkReplays steps one engine clock past rec's last step and, at
+// each step, calls Inject and then StaticUntil on every replay: on the
+// first at every step, on the others at a random half of the steps, as
+// leap windows skip steps. Each result must equal the by-step map of
+// rec's non-seed injections.
+func checkReplays(t *testing.T, rng *rand.Rand, rec []RecordedInjection, rps ...*Replay) {
+	t.Helper()
+	byStep := map[int64][]packet.Injection{}
+	for _, ri := range rec {
+		if ri.Step != 0 {
+			byStep[ri.Step] = append(byStep[ri.Step], packet.Injection{Route: ri.Route, Tag: ri.Tag})
+		}
+	}
+	// horizon is StaticUntil's value after an Inject at step last.
+	horizon := func(last int64) int64 {
+		h := int64(sim.Forever)
+		for step := range byStep {
+			if step > last {
+				h = min(h, step-1)
+			}
+		}
+		return h
+	}
+	for k, rp := range rps {
+		if got := rp.StaticUntil(); got != horizon(0) {
+			t.Fatalf("replay %d fresh: StaticUntil %d, want %d", k, got, horizon(0))
+		}
+	}
+	e := sim.New(graph.Line(1), fifo(), nil)
+	for e.Now() < 64 {
+		e.Step()
+		now := e.Now()
+		for k, rp := range rps {
+			if k > 0 && rng.Intn(2) == 0 {
+				continue
+			}
+			if got := rp.Inject(e); !reflect.DeepEqual(got, byStep[now]) {
+				t.Fatalf("replay %d at t=%d: Inject %v, want %v", k, now, got, byStep[now])
+			}
+			if got := rp.StaticUntil(); got != horizon(now) {
+				t.Fatalf("replay %d at t=%d: StaticUntil %d, want %d", k, now, got, horizon(now))
+			}
+		}
 	}
 }

@@ -27,15 +27,21 @@ func Load(path string) (*Spec, error) {
 // 1-based line and JSON path of the offending value: the strict walk
 // rejects malformed JSON and unknown or duplicate fields at their
 // position, type mismatches are positioned by the decoder's byte
-// offset, and a semantic error from the compiler re-walks data to the
+// offset, an injection group that does not decode is found by a second
+// walk, and a semantic error from the compiler re-walks data to the
 // deepest value of its path present in the file. Nothing is recorded
 // for accepted input.
 func Parse(file string, data []byte) (*Spec, error) {
-	if err := strictCheck(file, data); err != nil {
+	if err := strictCheck(file, data, false); err != nil {
 		return nil, err
 	}
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
+		if _, ok := err.(*groupError); ok {
+			if err := strictCheck(file, data, true); err != nil {
+				return nil, err
+			}
+		}
 		switch e := err.(type) {
 		case *json.UnmarshalTypeError:
 			return nil, &Error{File: file, Line: lineAt(data, e.Offset), Path: e.Field,

@@ -162,10 +162,10 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 		if n < 0 {
 			return nil, c.errf(path+".n", "seed count must be >= 1, got %d", n)
 		}
-		seedTotal += n
-		if seedTotal > maxSeedTotal {
+		if n > maxSeedTotal-seedTotal {
 			return nil, c.errf(path, "more than %d seed packets in total", maxSeedTotal)
 		}
+		seedTotal += n
 		for k := int64(0); k < n; k++ {
 			out.seeds = append(out.seeds, packet.Injection{Route: route, Tag: sd.Tag})
 		}
@@ -491,41 +491,40 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 			}
 			routes[i] = route
 		}
+		// Plain comparisons per group; the path is formatted only for a
+		// rejection.
 		var total int64
 		for i, gr := range rp.Injections {
-			p := fmt.Sprintf("%s.replay.injections[%d]", path, i)
-			if gr.T < 1 {
-				return nil, c.errf(p, "injection step must be >= 1 (step 0 packets are seeds), got %d", gr.T)
+			var msg string
+			switch {
+			case gr.T < 1:
+				msg = fmt.Sprintf("injection step must be >= 1 (step 0 packets are seeds), got %d", gr.T)
+			case gr.Route < 0 || gr.Route >= len(routes):
+				msg = fmt.Sprintf("route index %d out of range [0,%d)", gr.Route, len(routes))
+			case gr.N < 1:
+				msg = fmt.Sprintf("injection count must be >= 1, got %d", gr.N)
+			case gr.Tag < 0 || gr.Tag > len(rp.Tags):
+				msg = fmt.Sprintf("tag index %d out of range [0,%d] (0 = untagged)", gr.Tag, len(rp.Tags))
+			case gr.N > maxReplayPkts-total:
+				msg = fmt.Sprintf("more than %d replayed packets in total", maxReplayPkts)
+			default:
+				total += gr.N
+				continue
 			}
-			if gr.Route < 0 || gr.Route >= len(routes) {
-				return nil, c.errf(p, "route index %d out of range [0,%d)", gr.Route, len(routes))
-			}
-			if gr.N < 1 {
-				return nil, c.errf(p, "injection count must be >= 1, got %d", gr.N)
-			}
-			if gr.Tag < 0 || gr.Tag > len(rp.Tags) {
-				return nil, c.errf(p, "tag index %d out of range [0,%d] (0 = untagged)", gr.Tag, len(rp.Tags))
-			}
-			total += gr.N
-			if total > maxReplayPkts {
-				return nil, c.errf(p, "more than %d replayed packets in total", maxReplayPkts)
-			}
+			return nil, c.errf(fmt.Sprintf("%s.replay.injections[%d]", path, i), "%s", msg)
 		}
 		injections := rp.Injections
 		tags := rp.Tags
 		return func() sim.Adversary {
-			rec := make([]adversary.RecordedInjection, 0, total)
+			s := adversary.NewSchedule(int(total))
 			for _, gr := range injections {
-				tag := ""
+				inj := packet.Injection{Route: routes[gr.Route]}
 				if gr.Tag > 0 {
-					tag = tags[gr.Tag-1]
+					inj.Tag = tags[gr.Tag-1]
 				}
-				for k := int64(0); k < gr.N; k++ {
-					rec = append(rec, adversary.RecordedInjection{
-						Step: gr.T, Route: routes[gr.Route], Tag: tag})
-				}
+				s.Add(gr.T, inj, gr.N)
 			}
-			return adversary.NewReplay(rec)
+			return s.Replay()
 		}, nil
 
 	case "sequence":

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -170,6 +171,33 @@ type ReplaySpec struct {
 	Injections []InjGroup `json:"injections"`
 }
 
+// MarshalJSON implements json.Marshaler with the bytes encoding/json
+// writes for the struct, but formats the injection list itself:
+// json.Marshal re-scans a marshaler's output in a pass of its own, so
+// groups that marshal themselves cost one pass each, and this costs one
+// for the whole replay block.
+func (rp ReplaySpec) MarshalJSON() ([]byte, error) {
+	routes, _ := json.Marshal(rp.Routes) // strings only: cannot fail
+	b := append(make([]byte, 0, len(routes)+16*len(rp.Injections)+64), `{"routes":`...)
+	b = append(b, routes...)
+	if len(rp.Tags) > 0 { // omitempty
+		tags, _ := json.Marshal(rp.Tags)
+		b = append(append(b, `,"tags":`...), tags...)
+	}
+	b = append(b, `,"injections":`...)
+	if rp.Injections == nil {
+		return append(b, "null}"...), nil
+	}
+	b = append(b, '[')
+	for i, gr := range rp.Injections {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = gr.appendJSON(b)
+	}
+	return append(b, "]}"...), nil
+}
+
 // InjGroup is one run-length-encoded injection batch: N packets at
 // step T with route Routes[Route], tagged Tags[Tag-1] (Tag 0 =
 // untagged). It marshals compactly as the array [t, route, n, tag].
@@ -180,30 +208,109 @@ type InjGroup struct {
 	Tag   int
 }
 
-// MarshalJSON implements json.Marshaler ([t, route, n, tag]). Replay
-// specs hold hundreds of thousands of groups, so it formats without fmt.
+// MarshalJSON implements json.Marshaler ([t, route, n, tag]).
 func (gr InjGroup) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 32), '[')
+	return gr.appendJSON(make([]byte, 0, 32)), nil
+}
+
+// appendJSON appends [t,route,n,tag] to b, formatting without fmt:
+// replay specs hold hundreds of thousands of groups.
+func (gr InjGroup) appendJSON(b []byte) []byte {
+	b = append(b, '[')
 	for i, v := range [4]int64{gr.T, int64(gr.Route), gr.N, int64(gr.Tag)} {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, v, 10)
 	}
-	return append(b, ']'), nil
+	return append(b, ']')
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A group of four plain
+// integer literals is read straight from the bytes; anything else is
+// decoded as a []int64, which either agrees or fails with its message.
+// A failure is a *groupError, which Parse positions at the group.
 func (gr *InjGroup) UnmarshalJSON(b []byte) error {
+	if g, end, ok := parseGroup(b, 0); ok && end == len(b) {
+		*gr = g
+		return nil
+	}
 	var a []int64
 	if err := json.Unmarshal(b, &a); err != nil {
-		return err
+		if e, ok := err.(*json.UnmarshalTypeError); ok {
+			return &groupError{fmt.Sprintf("cannot decode %s into %s", e.Value, e.Type)}
+		}
+		return &groupError{err.Error()}
 	}
 	if len(a) != 4 {
-		return fmt.Errorf("injection group needs [t, route, n, tag], got %d elements", len(a))
+		return &groupError{fmt.Sprintf("injection group needs [t, route, n, tag], got %d elements", len(a))}
 	}
 	gr.T, gr.Route, gr.N, gr.Tag = a[0], int(a[1]), a[2], int(a[3])
 	return nil
+}
+
+// groupError is an injection group that does not decode.
+type groupError struct{ msg string }
+
+func (e *groupError) Error() string { return e.msg }
+
+// parseGroup reads [t, route, n, tag] at b[i:]: four integer literals
+// in int64 range (no fraction or exponent), with JSON whitespace
+// around them, and returns the group and the index after its ']'. It
+// declines (ok false) anything else.
+func parseGroup(b []byte, i int) (InjGroup, int, bool) {
+	if i == len(b) || b[i] != '[' {
+		return InjGroup{}, i, false
+	}
+	var v [4]int64
+	for k := range v {
+		var ok bool
+		if v[k], i, ok = parseInt(b, skipSpace(b, i+1)); !ok {
+			return InjGroup{}, i, false
+		}
+		if i = skipSpace(b, i); i == len(b) || b[i] != ",,,]"[k] {
+			return InjGroup{}, i, false
+		}
+	}
+	return InjGroup{T: v[0], Route: int(v[1]), N: v[2], Tag: int(v[3])}, i + 1, true
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseInt reads the JSON integer literal at b[i:] (an optional '-',
+// then 0 or a digit string without a leading 0) that fits an int64,
+// and returns its value and end.
+func parseInt(b []byte, i int) (int64, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if i-start == 19 { // 20 digits overflow an int64
+			return 0, i, false
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if i == start || b[start] == '0' && i-start > 1 || u > limit {
+		return 0, i, false
+	}
+	if neg {
+		u = -u
+	}
+	return int64(u), i, true
 }
 
 // PhaseSpec is one temporal phase of a sequence adversary: its inner

@@ -63,6 +63,11 @@ type field struct {
 	shape *shape
 }
 
+// groupShape is an InjGroup's: any well-formed value. A plain group
+// (parseGroup) is passed without scanning its numbers one by one, and a
+// walk that checks groups decodes any other (see strictCheck).
+var groupShape = &shape{}
+
 // specShape is built once, so concurrent Parse calls (`aqt scenario
 // run` fans files across workers) only read it.
 var specShape = shapeOf(reflect.TypeOf(Spec{}), map[reflect.Type]*shape{})
@@ -70,6 +75,9 @@ var specShape = shapeOf(reflect.TypeOf(Spec{}), map[reflect.Type]*shape{})
 func shapeOf(t reflect.Type, memo map[reflect.Type]*shape) *shape {
 	for t.Kind() == reflect.Ptr {
 		t = t.Elem()
+	}
+	if t == reflect.TypeOf(InjGroup{}) {
+		return groupShape
 	}
 	if s, ok := memo[t]; ok || reflect.PtrTo(t).Implements(unmarshalerType) {
 		return s
@@ -107,10 +115,11 @@ func shapeOf(t reflect.Type, memo map[reflect.Type]*shape) *shape {
 // read to. The error path is built only on a rejection: each level of
 // the recursion adds its segment on the way back up.
 type walker struct {
-	data []byte
-	pos  int // the Decoder's read offset: the next unread byte
-	msg  string
-	segs []pathSeg // innermost first
+	data   []byte
+	pos    int // the Decoder's read offset: the next unread byte
+	msg    string
+	segs   []pathSeg // innermost first
+	groups bool      // decode injection groups (strictCheck)
 }
 
 // pathSeg is an object key, or an array index when idx >= 0.
@@ -123,8 +132,13 @@ type pathSeg struct {
 // well-formed JSON, no unknown or duplicate fields anywhere (encoding/json
 // would match keys case-insensitively and keep the last duplicate), no
 // trailing data. Rejections are positioned *Errors.
-func strictCheck(file string, data []byte) error {
-	w := walker{data: data}
+//
+// With groups set it also decodes every injection group, and rejects
+// the first that fails at its own position. json.Unmarshal stops at
+// that group, so Parse walks with groups only to position the error of
+// a json.Unmarshal that failed on one.
+func strictCheck(file string, data []byte, groups bool) error {
+	w := walker{data: data, groups: groups}
 	if _, ok := w.peek(); !ok {
 		w.msg = "unexpected end of file"
 	} else if w.value(specShape) {
@@ -139,13 +153,12 @@ func strictCheck(file string, data []byte) error {
 // peek skips whitespace to the next byte. At the end of the input it
 // leaves pos after the last token, where the Decoder reports EOF.
 func (w *walker) peek() (byte, bool) {
-	for i := w.pos; i < len(w.data); i++ {
-		if c := w.data[i]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			w.pos = i
-			return c, true
-		}
+	i := skipSpace(w.data, w.pos)
+	if i == len(w.data) {
+		return 0, false
 	}
-	return 0, false
+	w.pos = i
+	return w.data[i], true
 }
 
 func (w *walker) fail(msg string) bool {
@@ -184,6 +197,14 @@ func childPath(p string, s pathSeg) string {
 
 // value checks the value starting at pos, a non-space byte.
 func (w *walker) value(s *shape) bool {
+	if s == groupShape {
+		if _, end, ok := parseGroup(w.data, w.pos); ok {
+			w.pos = end
+			return true
+		} else if w.groups {
+			return w.group()
+		}
+	}
 	switch c := w.data[w.pos]; c {
 	case '{':
 		return w.object(s)
@@ -340,6 +361,21 @@ func (w *walker) array(s *shape) bool {
 			return w.up("", i)
 		}
 	}
+}
+
+// group passes the injection group at pos if it decodes, and else
+// rejects it there with InjGroup.UnmarshalJSON's message.
+func (w *walker) group() bool {
+	start := w.pos
+	if !w.value(nil) {
+		return false
+	}
+	var gr InjGroup
+	if err := gr.UnmarshalJSON(w.data[start:w.pos]); err != nil {
+		w.pos = start
+		return w.fail(err.Error())
+	}
+	return true
 }
 
 // quoteChar formats c as encoding/json's syntax errors do.

@@ -25,10 +25,11 @@ import (
 // file" like every other truncation.
 
 type refWalker struct {
-	dec   *json.Decoder
-	lines refLineIndex
-	file  string
-	at    map[string]int // path → line
+	dec    *json.Decoder
+	lines  refLineIndex
+	file   string
+	at     map[string]int // path → line
+	groups bool           // decode injection groups (refGroupCheck)
 }
 
 type refLineIndex []int64
@@ -75,6 +76,17 @@ func (w *refWalker) errf(path string, format string, args ...interface{}) error 
 }
 
 func (w *refWalker) value(path string, typ reflect.Type) error {
+	if w.groups && typ == reflect.TypeOf(InjGroup{}) {
+		var raw json.RawMessage
+		if err := w.dec.Decode(&raw); err != nil {
+			return w.errf(path, "%v", err)
+		}
+		if msg := refGroupMsg(raw); msg != "" {
+			start := w.dec.InputOffset() - int64(len(raw))
+			return &Error{File: w.file, Line: w.lines.line(start), Path: path, Msg: msg}
+		}
+		return nil
+	}
 	tok, err := w.dec.Token()
 	if err != nil {
 		if err == io.EOF {
@@ -215,9 +227,45 @@ func refLineOf(lines map[string]int, path string) int {
 	return 1
 }
 
+// refGroupMsg decodes an injection group as InjGroup did before its
+// byte-level fast path: a nested json.Unmarshal into []int64 and a
+// length check. It returns the rejection message, or "".
+func refGroupMsg(raw []byte) string {
+	var a []int64
+	if err := json.Unmarshal(raw, &a); err != nil {
+		if e, ok := err.(*json.UnmarshalTypeError); ok {
+			return fmt.Sprintf("cannot decode %s into %s", e.Value, e.Type)
+		}
+		return err.Error()
+	}
+	if len(a) != 4 {
+		return fmt.Sprintf("injection group needs [t, route, n, tag], got %d elements", len(a))
+	}
+	return ""
+}
+
+// refGroupCheck re-walks a spec the reference accepted and returns the
+// first injection group that does not decode, positioned at the line
+// of its first byte with its own path (nil when every group decodes).
+// json.Unmarshal stops at that group, discarding any type error it met
+// before it.
+func refGroupCheck(file string, data []byte) error {
+	w := &refWalker{
+		dec:    json.NewDecoder(bytes.NewReader(data)),
+		lines:  newRefLineIndex(data),
+		file:   file,
+		at:     map[string]int{},
+		groups: true,
+	}
+	w.dec.UseNumber()
+	return w.value("", reflect.TypeOf(Spec{}))
+}
+
 // refParse is Parse over the reference walker, with compile's errors
-// positioned by the reference's path → line map, and the one intended
-// deviation applied (bare "EOF" → "unexpected end of file").
+// positioned by the reference's path → line map, and the intended
+// deviations applied: a bare "EOF" reads "unexpected end of file", and
+// an injection group that does not decode is positioned at its own
+// line and path (refGroupCheck).
 func refParse(file string, data []byte) error {
 	lines, err := refStrictCheck(file, data)
 	if err != nil {
@@ -228,6 +276,9 @@ func refParse(file string, data []byte) error {
 	}
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
+		if err := refGroupCheck(file, data); err != nil {
+			return err
+		}
 		li := newRefLineIndex(data)
 		switch e := err.(type) {
 		case *json.UnmarshalTypeError:
@@ -261,6 +312,7 @@ func sameAsRef(data []byte) error {
 // input, and holds each to the reference.
 func TestStrictRejections(t *testing.T) {
 	const head = "{\n  \"version\": 1,\n"
+	const groups = `  "adversary": {"replay": {"injections": [` + "\n    [1, 0, 1, 0],\n"
 	cases := []struct {
 		name, data string
 		want       Error
@@ -310,6 +362,22 @@ func TestStrictRejections(t *testing.T) {
 			Error{Line: 3, Path: "adversary.phases[1].untill", Msg: `unknown field "untill"`}},
 		{"duplicate key in a map", head + `  "policy": {"edges": {"e1": "LIS", "e1": "NTG"}}}`,
 			Error{Line: 3, Path: "policy.edges.e1", Msg: `duplicate field "e1"`}},
+		{"fraction in an injection group", head + groups + "    [2, 0, 1.5, 0]]}}}",
+			Error{Line: 5, Path: "adversary.replay.injections[1]", Msg: "cannot decode number 1.5 into int64"}},
+		{"three-element injection group", head + groups + "    [2, 0, 1]]}}}",
+			Error{Line: 5, Path: "adversary.replay.injections[1]", Msg: "injection group needs [t, route, n, tag], got 3 elements"}},
+		{"injection group spanning lines", head + groups + "    [2,\n 0, 1, 0, 5]]}}}",
+			Error{Line: 5, Path: "adversary.replay.injections[1]", Msg: "injection group needs [t, route, n, tag], got 5 elements"}},
+		{"injection group that is not an array", head + groups + `    {"t": 2}]}}}`,
+			Error{Line: 5, Path: "adversary.replay.injections[1]", Msg: "cannot decode object into []int64"}},
+		{"injection group in a phase", head + `  "adversary": {"phases": [{"adversary": {"replay": {"injections": [` +
+			"\n    [1, 0, 1, 0], [2, 0, 1, 9223372036854775808]]}}}]}}",
+			Error{Line: 4, Path: "adversary.phases[0].adversary.replay.injections[1]",
+				Msg: "cannot decode number 9223372036854775808 into int64"}},
+		{"injection group after a type error", head + `  "name": 5,` + "\n" + groups + "    [2, 0, 1e0, 0]]}}}",
+			Error{Line: 6, Path: "adversary.replay.injections[1]", Msg: "cannot decode number 1e0 into int64"}},
+		{"unknown field after an injection group", head + groups + "    [2, 0, 1]]}}, \"nmae\": 1}",
+			Error{Line: 5, Path: "nmae", Msg: `unknown field "nmae"`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -396,7 +464,7 @@ func TestStrictCheckAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(3, func() {
-		if err := strictCheck("e1.json", data); err != nil {
+		if err := strictCheck("e1.json", data, false); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 256 {
@@ -404,31 +472,58 @@ func TestStrictCheckAllocs(t *testing.T) {
 	}
 }
 
+// benchSets are the spec sets the Parse and Build benchmarks time:
+// the E1 schedule, and the whole scenarios/ corpus.
+func benchSets(b *testing.B) []benchSet {
+	corpus := corpusSpecs(b)
+	var e1 []corpusFile
+	for _, c := range corpus {
+		if c.name == "e1.json" {
+			e1 = append(e1, c)
+		}
+	}
+	return []benchSet{{"e1", e1}, {"corpus", corpus}}
+}
+
+type benchSet struct {
+	name  string
+	files []corpusFile
+}
+
 // BenchmarkParse times Parse (strict walk, decode, compile) on the E1
 // schedule and on the whole scenarios/ corpus.
 func BenchmarkParse(b *testing.B) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
-	if err != nil || len(paths) == 0 {
-		b.Fatalf("no scenarios: %v", err)
-	}
-	files := map[string][]byte{}
-	for _, p := range paths {
-		if files[p], err = os.ReadFile(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range []struct {
-		name  string
-		paths []string
-	}{
-		{"e1", []string{filepath.Join("..", "..", "scenarios", "e1.json")}},
-		{"corpus", paths},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+	for _, set := range benchSets(b) {
+		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, p := range c.paths {
-					if _, err := Parse(filepath.Base(p), files[p]); err != nil {
+				for _, c := range set.files {
+					if _, err := Parse(c.name, c.data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuild times Build (compile, schedule expansion, engine and
+// observers, seeding) of parsed specs, as perfbench's corpus workload
+// builds each spec once per checkpoint split.
+func BenchmarkBuild(b *testing.B) {
+	for _, set := range benchSets(b) {
+		specs := make([]*Spec, len(set.files))
+		for i, c := range set.files {
+			var err error
+			if specs[i], err = Parse(c.name, c.data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range specs {
+					if _, err := Build(s); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -22,6 +23,19 @@ const validBase = `{
   "run": {"steps": 10}
 }
 `
+
+// Specs whose packet totals overflow int64: a count near MaxInt64
+// used to wrap the running total negative and slip under the cap (the
+// replay then panicked in Build; the seeds looped appending ~9.2e18
+// packets inside Parse).
+var (
+	replayTotalOverflow = strings.Replace(validBase, `"adversary": {"kind": "none"}`,
+		`"adversary": {"kind": "replay", "replay": {"routes": [["e1"]],
+    "injections": [[1, 0, 5, 0], [2, 0, 9223372036854775807, 0]]}}`, 1)
+	seedTotalOverflow = strings.Replace(validBase, `"adversary": {"kind": "none"}`,
+		`"adversary": {"kind": "none"},
+  "seeds": [{"route": ["e1"], "n": 5}, {"route": ["e1"], "n": 9223372036854775807}]`, 1)
+)
 
 func TestParseValid(t *testing.T) {
 	s, err := Parse("base.json", []byte(validBase))
@@ -242,6 +256,22 @@ func TestParseErrors(t *testing.T) {
 			`"adversary": {"kind": "none"},
   "buffer": {"cap": 4, "drop": "red"}`, 1),
 			"buffer.drop", 7, `unknown drop policy "red"`)
+	})
+
+	t.Run("replay total overflows", func(t *testing.T) {
+		specErr(t, replayTotalOverflow, "adversary.replay.injections[1]", 7,
+			"more than 4194304 replayed packets in total")
+		var s Spec
+		if err := json.Unmarshal([]byte(replayTotalOverflow), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(&s); err == nil {
+			t.Error("Build accepted the overflowing replay")
+		}
+	})
+
+	t.Run("seed total overflows", func(t *testing.T) {
+		specErr(t, seedTotalOverflow, "seeds[1]", 7, "more than 2097152 seed packets in total")
 	})
 
 	t.Run("drop policy with unbounded cap", func(t *testing.T) {
