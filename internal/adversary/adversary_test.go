@@ -212,12 +212,12 @@ func TestRateValidatorChargesReroutes(t *testing.T) {
 	e1, e2 := g.MustEdge("e1"), g.MustEdge("e2")
 	rv := NewRateValidator(rational.FromInt(1))
 	for tm := int64(1); tm <= 10; tm++ {
-		rv.OnInject(tm, &packet.Packet{Route: []graph.EdgeID{e2}, InjectedAt: tm})
+		rv.OnInject(tm, routedPkt([]graph.EdgeID{e2}, 0, tm))
 	}
 	if err := rv.Check(); err != nil {
 		t.Fatalf("precondition: %v", err)
 	}
-	p := &packet.Packet{Route: []graph.EdgeID{e1, e2}, InjectedAt: 5}
+	p := routedPkt([]graph.EdgeID{e1, e2}, 0, 5)
 	rv.OnReroute(8, p, []graph.EdgeID{e1})
 	if err := rv.Check(); err == nil {
 		t.Error("reroute overload not flagged")
@@ -280,14 +280,14 @@ func TestCheckBudgetMatchesCheckOnSmallRuns(t *testing.T) {
 
 func TestSharedEdge(t *testing.T) {
 	g := graph.Line(3)
-	p1 := &packet.Packet{Route: rt(g, "e1", "e2", "e3"), Pos: 0}
-	p2 := &packet.Packet{Route: rt(g, "e2", "e3"), Pos: 0}
+	p1 := routedPkt(rt(g, "e1", "e2", "e3"), 0, 0)
+	p2 := routedPkt(rt(g, "e2", "e3"), 0, 0)
 	e, ok := SharedEdge([]*packet.Packet{p1, p2})
 	if !ok || e != g.MustEdge("e2") {
 		t.Errorf("SharedEdge = (%d,%v)", e, ok)
 	}
-	p3 := &packet.Packet{Route: rt(g, "e1"), Pos: 0}
-	p4 := &packet.Packet{Route: rt(g, "e3"), Pos: 0}
+	p3 := routedPkt(rt(g, "e1"), 0, 0)
+	p4 := routedPkt(rt(g, "e3"), 0, 0)
 	if _, ok := SharedEdge([]*packet.Packet{p3, p4}); ok {
 		t.Error("disjoint routes reported a shared edge")
 	}
@@ -486,7 +486,7 @@ type injLog struct{ times [][]int64 } // by edge ID
 func (l *injLog) OnStep(*sim.Engine) {}
 
 func (l *injLog) OnInject(t int64, p *packet.Packet) {
-	for _, e := range p.Route {
+	for _, e := range p.Route() {
 		for int(e) >= len(l.times) {
 			l.times = append(l.times, nil)
 		}

@@ -48,3 +48,32 @@ func TestScriptInjectAllocs(t *testing.T) {
 		t.Errorf("Script.Inject: %v allocs per call, want 0", avg)
 	}
 }
+
+// TestValidatorRerouteAllocs: charging the edges a reroute adds costs
+// the rate and window validators no allocation; they compare the new
+// route against the old one in place.
+func TestValidatorRerouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	c := gadget.NewChain(10, 2, false)
+	route := c.LongRoute(1)
+	once := []packet.Injection{packet.Inj(route...)}
+	e := sim.New(c.G, policy.FIFO{}, sim.InjectFunc(func(e *sim.Engine) []packet.Injection {
+		if e.Now() == 1 {
+			return once
+		}
+		return nil
+	}))
+	rv, wv := NewRateValidator(rational.FromInt(1)), NewWindowValidator(4, rational.FromInt(1))
+	e.AddObserver(rv)
+	e.AddObserver(wv)
+	e.Step()
+	p := e.Queue(route[0]).Front()
+	if avg := testing.AllocsPerRun(512, func() {
+		e.ReplaceRouteSuffix(p, nil)
+		e.ExtendRoute(p, route[1:])
+	}); avg != 0 {
+		t.Errorf("reroute pair under both validators: %v allocs, want 0", avg)
+	}
+}

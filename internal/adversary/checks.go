@@ -100,7 +100,7 @@ func SameExecution(a, b *sim.Engine) error {
 		for i := 0; i < qa.Len(); i++ {
 			pa, pb := qa.At(i), qb.At(i)
 			if pa.ID != pb.ID || pa.Pos != pb.Pos || pa.InjectedAt != pb.InjectedAt ||
-				pa.ArrivedAt != pb.ArrivedAt || pa.Tag != pb.Tag || !sameRoute(pa.Route, pb.Route) {
+				pa.ArrivedAt != pb.ArrivedAt || pa.Tag() != pb.Tag() || !sameRoute(pa.Route(), pb.Route()) {
 				return fmt.Errorf("t=%d: edge %d slot %d differs: %v vs %v",
 					a.Now(), eid, i, pa, pb)
 			}

@@ -87,7 +87,7 @@ func (r *ScheduleRecorder) snapshot(p *packet.Packet) {
 	if r.done || i < 0 || i >= len(r.live) || r.live[i] != p {
 		return
 	}
-	r.rec[i].Route, r.rec[i].Tag = p.Route, p.Tag
+	r.rec[i].Route, r.rec[i].Tag = p.Route(), p.Tag()
 	r.live[i] = nil
 }
 
@@ -271,7 +271,7 @@ func ValidateRecording(rec []RecordedInjection, rate rational.Rat, maxPerEdge in
 		if ri.Step == 0 {
 			continue
 		}
-		u.add(ri.Step, ri.Route)
+		u.add(ri.Step, ri.Route, nil)
 	}
 	u.sortAll()
 	for e, ts := range u.times {

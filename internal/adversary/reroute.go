@@ -89,14 +89,14 @@ func (r *Rerouter) OnLeap(*sim.Engine, sim.LeapInfo) {}
 
 // OnInject implements sim.InjectionObserver.
 func (r *Rerouter) OnInject(t int64, p *packet.Packet) {
-	r.note(t, p.Route)
+	r.note(t, p.Route())
 }
 
 // OnReroute implements sim.RerouteObserver: edges added by a reroute
 // count as used at the packet's injection time (they become part of
 // the adversary A' of Lemma 3.3, which injected the packet then).
 func (r *Rerouter) OnReroute(t int64, p *packet.Packet, oldRoute []graph.EdgeID) {
-	r.note(p.InjectedAt, p.Route)
+	r.note(p.InjectedAt, p.Route())
 }
 
 func (r *Rerouter) note(t int64, route []graph.EdgeID) {

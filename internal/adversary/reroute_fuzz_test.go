@@ -58,7 +58,7 @@ func FuzzSharedEdge(f *testing.F) {
 			for j := range route {
 				route[j] = graph.EdgeID(next() % 12)
 			}
-			pkts[i] = &packet.Packet{Route: route, Pos: next() % (len(route) + 1)}
+			pkts[i] = routedPkt(route, next()%(len(route)+1), 0)
 		}
 		gotE, gotOK := SharedEdge(pkts)
 		wantE, wantOK := refSharedEdge(pkts)

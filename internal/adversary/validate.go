@@ -27,9 +27,13 @@ func newUsage() *usage {
 	return &usage{}
 }
 
-func (u *usage) add(t int64, edges []graph.EdgeID) {
-	for i, e := range edges {
-		if slices.Contains(edges[:i], e) {
+// add charges t to each edge of route that old lacks (old is nil for an
+// injection, a reroute's old route otherwise). It compares in place,
+// allocation-free: old is a simple route and short enough that scanning
+// it beats building a set.
+func (u *usage) add(t int64, route, old []graph.EdgeID) {
+	for i, e := range route {
+		if slices.Contains(old, e) || slices.Contains(route[:i], e) {
 			continue // an edge counts once per packet (routes are simple anyway)
 		}
 		if n := int(e) + 1; n > len(u.times) {
@@ -96,7 +100,7 @@ func (rv *RateValidator) OnInject(t int64, p *packet.Packet) {
 	if t == 0 {
 		return
 	}
-	rv.u.add(t, p.Route)
+	rv.u.add(t, p.Route(), nil)
 }
 
 // OnReroute implements sim.RerouteObserver. The edges added by the
@@ -105,17 +109,7 @@ func (rv *RateValidator) OnReroute(t int64, p *packet.Packet, oldRoute []graph.E
 	if p.InjectedAt == 0 {
 		return
 	}
-	old := make(map[graph.EdgeID]bool, len(oldRoute))
-	for _, e := range oldRoute {
-		old[e] = true
-	}
-	var added []graph.EdgeID
-	for _, e := range p.Route {
-		if !old[e] {
-			added = append(added, e)
-		}
-	}
-	rv.u.add(p.InjectedAt, added)
+	rv.u.add(p.InjectedAt, p.Route(), oldRoute)
 }
 
 // Check verifies every interval between recorded injection times on
@@ -262,7 +256,7 @@ func (wv *WindowValidator) OnInject(t int64, p *packet.Packet) {
 	if t == 0 {
 		return
 	}
-	wv.u.add(t, p.Route)
+	wv.u.add(t, p.Route(), nil)
 }
 
 // OnReroute implements sim.RerouteObserver; added edges charge the
@@ -271,17 +265,7 @@ func (wv *WindowValidator) OnReroute(t int64, p *packet.Packet, oldRoute []graph
 	if p.InjectedAt == 0 {
 		return
 	}
-	old := make(map[graph.EdgeID]bool, len(oldRoute))
-	for _, e := range oldRoute {
-		old[e] = true
-	}
-	var added []graph.EdgeID
-	for _, e := range p.Route {
-		if !old[e] {
-			added = append(added, e)
-		}
-	}
-	wv.u.add(p.InjectedAt, added)
+	wv.u.add(p.InjectedAt, p.Route(), oldRoute)
 }
 
 // Bound returns the per-window per-edge injection bound floor(r·w).

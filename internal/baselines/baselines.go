@@ -228,7 +228,7 @@ func (sc LadderScenario) Run(pol policy.Policy) LadderResult {
 	inFlight := func() int64 {
 		var n int64
 		e.ForEachQueued(func(_ graph.EdgeID, p *packet.Packet) {
-			if p.Tag == "convoy" {
+			if p.Tag() == "convoy" {
 				n++
 			}
 		})

@@ -81,7 +81,7 @@ func BootstrapPhase(p Params, c *gadget.Chain, k int, rr *adversary.Rerouter, re
 		end = tau + 2*s + n
 		extendAll(e, rr, old, ext)
 		for _, pk := range old {
-			pk.Tag = TagOld
+			pk.SetTag(TagOld)
 		}
 
 		script := adversary.NewScript()

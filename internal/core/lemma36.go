@@ -95,7 +95,7 @@ func PumpPhase(p Params, c *gadget.Chain, k int, rr *adversary.Rerouter, rep *Pu
 		rep.Extended = len(old)
 		extendAll(e, rr, old, ext)
 		for _, pk := range old {
-			pk.Tag = TagOld
+			pk.SetTag(TagOld)
 		}
 
 		script := adversary.NewScript()

@@ -283,7 +283,7 @@ func E10Claims(q Quick) *Table {
 		var inG1OrAtEgress int64
 		count := func(eid graph.EdgeID) {
 			e.Queue(eid).Each(func(pk *packet.Packet) bool {
-				if pk.Tag == core.TagOld {
+				if pk.Tag() == core.TagOld {
 					inG1OrAtEgress++
 				}
 				return true
@@ -314,7 +314,7 @@ func E10Claims(q Quick) *Table {
 			if now == int64(i)+2*s+1 {
 				cnt := 0
 				e.Queue(c.EPath(2)[i-1]).Each(func(pk *packet.Packet) bool {
-					if pk.Tag == core.TagShort {
+					if pk.Tag() == core.TagShort {
 						cnt++
 					}
 					return true

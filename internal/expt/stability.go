@@ -51,9 +51,7 @@ func E6Lemma33(q Quick) *Table {
 
 	maxReroutes := 0
 	e.ForEachQueued(func(_ graph.EdgeID, pk *packet.Packet) {
-		if pk.Reroutes > maxReroutes {
-			maxReroutes = pk.Reroutes
-		}
+		maxReroutes = max(maxReroutes, int(pk.Reroutes))
 	})
 	// The rate validator confirms the emitted execution (including the
 	// reroute-charged edges) remains a rate-r adversary.

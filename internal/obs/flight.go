@@ -119,7 +119,7 @@ func (r *FlightRecorder) record(ev Event) {
 // OnInject implements sim.InjectionObserver.
 func (r *FlightRecorder) OnInject(t int64, p *packet.Packet) {
 	r.record(Event{T: t, Kind: EvInject, Pkt: int64(p.ID),
-		Edge: p.Route[0], Hops: len(p.Route), Label: p.SourceName})
+		Edge: p.Route()[0], Hops: len(p.Route()), Label: p.SourceName()})
 }
 
 // OnSend implements sim.SendObserver.
@@ -131,13 +131,13 @@ func (r *FlightRecorder) OnSend(t int64, eid graph.EdgeID, p *packet.Packet) {
 // OnAbsorb implements sim.AbsorptionObserver.
 func (r *FlightRecorder) OnAbsorb(t int64, p *packet.Packet) {
 	r.record(Event{T: t, Kind: EvAbsorb, Pkt: int64(p.ID),
-		Edge: p.Route[len(p.Route)-1], Label: p.SourceName})
+		Edge: p.Route()[len(p.Route())-1], Label: p.SourceName()})
 }
 
 // OnReroute implements sim.RerouteObserver.
 func (r *FlightRecorder) OnReroute(t int64, p *packet.Packet, oldRoute []graph.EdgeID) {
 	r.record(Event{T: t, Kind: EvReroute, Pkt: int64(p.ID),
-		Edge: p.CurrentEdge(), Hops: len(p.Route), Aux: len(oldRoute), Label: p.SourceName})
+		Edge: p.CurrentEdge(), Hops: len(p.Route()), Aux: len(oldRoute), Label: p.SourceName()})
 }
 
 // OnDrop implements sim.DropObserver: a packet discarded at the full
@@ -146,7 +146,7 @@ func (r *FlightRecorder) OnReroute(t int64, p *packet.Packet, oldRoute []graph.E
 // destination each casualty was.
 func (r *FlightRecorder) OnDrop(t int64, eid graph.EdgeID, p *packet.Packet) {
 	r.record(Event{T: t, Kind: EvDrop, Pkt: int64(p.ID),
-		Edge: eid, Hops: p.RemainingHops(), Label: p.SourceName})
+		Edge: eid, Hops: p.RemainingHops(), Label: p.SourceName()})
 }
 
 // OnMarker implements sim.MarkerObserver: adversary phase markers and

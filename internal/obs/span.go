@@ -269,7 +269,7 @@ func (st *SpanTracer) OnAbsorb(t int64, p *packet.Packet) {
 	if !st.tracked(p.ID) {
 		return
 	}
-	st.complete(int64(p.ID), t, p.Route[len(p.Route)-1], false)
+	st.complete(int64(p.ID), t, p.Route()[len(p.Route())-1], false)
 }
 
 // OnDrop implements sim.DropObserver: closes the span with the drop

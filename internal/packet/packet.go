@@ -10,7 +10,12 @@
 //
 // The engine stores its packets in a Slab and moves them between
 // buffers as int32 Handles; policies, observers and adversaries still
-// see *Packet, whose address stays fixed while the packet lives.
+// see *Packet, whose address stays fixed while the packet lives. A
+// packet slot is one 64-byte cache line of scalars plus a back-pointer
+// to its slab's Store, which holds the routes and labels the slot names
+// by uint32 IDs; the back-pointer is written once, when the slot is
+// first carved, so moving, rerouting and recycling a packet writes no
+// pointer into its slot.
 package packet
 
 import (
@@ -31,21 +36,10 @@ type ID int64
 // The engine then zeroes the packet and reuses its storage (its Slab
 // slot) for a later admission, so an observer copies what it keeps
 // beyond that point, as obs.SpanTracer keeps packet IDs rather than
-// packets.
+// packets. A Route slice is the exception: routes are immutable, so a
+// slice read from Route stays valid and unchanged for good.
 type Packet struct {
 	ID ID
-
-	// Route is the full route of the packet, as (possibly extended by
-	// rerouting) at the current time. Route[Pos] is the edge whose
-	// buffer currently holds the packet (or which it is crossing).
-	// Routes are immutable and shared: packets with equal routes may
-	// share one, and a reroute assigns a new route rather than
-	// modifying the elements of the old one, so a Route slice read at
-	// any time stays valid and unchanged.
-	Route []graph.EdgeID
-
-	// Pos is the index into Route of the packet's current edge.
-	Pos int
 
 	// InjectedAt is the time step at which the packet was injected
 	// (the second substep of that step).
@@ -62,50 +56,109 @@ type Packet struct {
 	// the same buffer in the same step.
 	EnqueueSeq int64
 
+	// Pos is the index into Route() of the packet's current edge.
+	Pos int32
+
 	// Reroutes counts how many times the packet's route was altered
 	// on-line (Lemma 3.3 machinery). The paper requires this to be
 	// finite; the Theorem 3.17 construction keeps it <= M.
-	Reroutes int
+	Reroutes int32
 
-	// Tag is an optional label for experiment bookkeeping (e.g. "old",
-	// "short", "long" in the Lemma 3.6 analysis). The engine never
-	// reads it.
-	Tag string
+	route  RouteID // entry in store holding the route
+	hops   int32   // len(Route()), so hop counts read no route
+	tag    label   // see Tag
+	source label   // see SourceName
 
-	// SourceName optionally records which injection stream created the
-	// packet, for tracing.
-	SourceName string
+	// store holds the route and labels; set when the slab carves the
+	// slot and never cleared.
+	store *Store
 }
 
+// Route returns the full route of the packet, as (possibly extended by
+// rerouting) at the current time. Route()[Pos] is the edge whose buffer
+// currently holds the packet (or which it is crossing). Routes are
+// immutable and shared: packets with equal routes may share one, and a
+// reroute assigns a new route rather than modifying the elements of
+// the old one, so a slice returned by Route stays valid and unchanged
+// even after the packet is rerouted or released.
+func (p *Packet) Route() []graph.EdgeID {
+	if p.route == 0 {
+		return nil
+	}
+	return p.store.routes[p.route].edges
+}
+
+// RouteID returns the store entry holding the packet's route (0 for no
+// route). Packets of one engine with equal RouteIDs share one route.
+func (p *Packet) RouteID() RouteID { return p.route }
+
+// SetRoute makes the route stored as id p's route: p takes a reference
+// on id and drops the one it held. Only the engine (admission and
+// reroutes) and tools that build packets outside an engine call it.
+func (p *Packet) SetRoute(id RouteID) {
+	s := p.store
+	s.Retain(id)
+	s.Drop(p.route)
+	p.route = id
+	p.hops = int32(len(s.routes[id].edges))
+}
+
+// Tag returns the packet's optional label for experiment bookkeeping
+// (e.g. "old", "short", "long" in the Lemma 3.6 analysis). The engine
+// never reads it.
+func (p *Packet) Tag() string {
+	if p.tag == 0 {
+		return ""
+	}
+	return p.store.labels[p.tag]
+}
+
+// SetTag relabels the packet, as the Lemma 3.6 and 3.15 constructions
+// do when a phase starts.
+func (p *Packet) SetTag(tag string) { p.tag = p.store.label(tag) }
+
+// SourceName returns which injection stream created the packet, if
+// recorded, for tracing.
+func (p *Packet) SourceName() string {
+	if p.source == 0 {
+		return ""
+	}
+	return p.store.labels[p.source]
+}
+
+// SetSourceName records the injection stream that created the packet.
+func (p *Packet) SetSourceName(name string) { p.source = p.store.label(name) }
+
 // CurrentEdge returns the edge whose buffer holds the packet.
-func (p *Packet) CurrentEdge() graph.EdgeID { return p.Route[p.Pos] }
+func (p *Packet) CurrentEdge() graph.EdgeID { return p.store.routes[p.route].edges[p.Pos] }
 
 // RemainingRoute returns the suffix of the route not yet completed,
 // starting with the current edge. The slice aliases Route.
-func (p *Packet) RemainingRoute() []graph.EdgeID { return p.Route[p.Pos:] }
+func (p *Packet) RemainingRoute() []graph.EdgeID { return p.Route()[p.Pos:] }
 
 // RemainingHops returns the number of edges the packet still has to
 // cross, including the current one.
-func (p *Packet) RemainingHops() int { return len(p.Route) - p.Pos }
+func (p *Packet) RemainingHops() int { return int(p.hops - p.Pos) }
 
 // Destination returns the final node of the packet's route.
 // It requires access to the graph to resolve the last edge.
 func (p *Packet) Destination(g *graph.Graph) graph.NodeID {
-	return g.Edge(p.Route[len(p.Route)-1]).To
+	r := p.Route()
+	return g.Edge(r[len(r)-1]).To
 }
 
 // Source returns the first node of the packet's route.
 func (p *Packet) Source(g *graph.Graph) graph.NodeID {
-	return g.Edge(p.Route[0]).From
+	return g.Edge(p.Route()[0]).From
 }
 
 // HopsFromSource returns the number of edges already crossed.
-func (p *Packet) HopsFromSource() int { return p.Pos }
+func (p *Packet) HopsFromSource() int { return int(p.Pos) }
 
 // String formats a compact description for traces and test failures.
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d(pos %d/%d, inj %d, arr %d)",
-		p.ID, p.Pos, len(p.Route), p.InjectedAt, p.ArrivedAt)
+		p.ID, p.Pos, p.hops, p.InjectedAt, p.ArrivedAt)
 }
 
 // Injection describes one packet an adversary wants to inject. The

@@ -3,6 +3,7 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"aqt/internal/graph"
 )
@@ -15,15 +16,19 @@ func lineRoute(g *graph.Graph, names ...string) []graph.EdgeID {
 	return r
 }
 
+// routed returns a packet of slab s on route at pos.
+func routed(s *Slab, route []graph.EdgeID, pos int) *Packet {
+	_, p := s.New()
+	p.SetRoute(s.Store().NewRoute(route))
+	p.Pos = int32(pos)
+	return p
+}
+
 func TestPacketAccessors(t *testing.T) {
 	g := graph.Line(4)
-	p := &Packet{
-		ID:         7,
-		Route:      lineRoute(g, "e1", "e2", "e3", "e4"),
-		Pos:        1,
-		InjectedAt: 10,
-		ArrivedAt:  12,
-	}
+	var s Slab
+	p := routed(&s, lineRoute(g, "e1", "e2", "e3", "e4"), 1)
+	p.ID, p.InjectedAt, p.ArrivedAt = 7, 10, 12
 	if p.CurrentEdge() != g.MustEdge("e2") {
 		t.Error("CurrentEdge wrong")
 	}
@@ -43,16 +48,30 @@ func TestPacketAccessors(t *testing.T) {
 	if p.Destination(g) != g.NodeByName("v4") {
 		t.Error("Destination wrong")
 	}
-	if !strings.Contains(p.String(), "pkt#7") {
+	if !strings.Contains(p.String(), "pkt#7") || !strings.Contains(p.String(), "pos 1/4") {
 		t.Errorf("String = %q", p.String())
+	}
+	if p.Tag() != "" || p.SourceName() != "" {
+		t.Errorf("unset labels read %q, %q", p.Tag(), p.SourceName())
+	}
+	p.SetTag("old")
+	p.SetSourceName("s1")
+	p.SetTag("short")
+	if p.Tag() != "short" || p.SourceName() != "s1" {
+		t.Errorf("labels read %q, %q, want short, s1", p.Tag(), p.SourceName())
+	}
+	var zero Packet
+	if zero.Route() != nil || zero.Tag() != "" || zero.SourceName() != "" || zero.RemainingHops() != 0 {
+		t.Error("zero packet has a route or labels")
 	}
 }
 
 func TestRemainingRouteAliases(t *testing.T) {
 	g := graph.Line(3)
-	p := &Packet{Route: lineRoute(g, "e1", "e2", "e3"), Pos: 0}
+	var s Slab
+	p := routed(&s, lineRoute(g, "e1", "e2", "e3"), 0)
 	rem := p.RemainingRoute()
-	if &rem[0] != &p.Route[0] {
+	if &rem[0] != &p.Route()[0] {
 		t.Error("RemainingRoute should alias Route")
 	}
 }
@@ -66,5 +85,14 @@ func TestInjectionHelpers(t *testing.T) {
 	ti := TaggedInj("old", g.MustEdge("e1"))
 	if ti.Tag != "old" || len(ti.Route) != 1 {
 		t.Error("TaggedInj wrong")
+	}
+}
+
+// TestPacketIsOneCacheLine pins the slot size: the engine touches one
+// slot per hop, and a slot that spills onto a second line costs a
+// second miss on every deep-queue dequeue.
+func TestPacketIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 64 {
+		t.Fatalf("sizeof(Packet) = %d bytes, want <= 64", n)
 	}
 }

@@ -2,7 +2,9 @@ package packet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"aqt/internal/graph"
 )
@@ -12,14 +14,15 @@ import (
 func TestSlabAddressesStable(t *testing.T) {
 	var s Slab
 	h0, p0 := s.New()
-	p0.ID, p0.Tag = 42, "first"
+	p0.ID = 42
+	p0.SetTag("first")
 	hs := []Handle{h0}
-	for i := 1; i < 20*slabChunk; i++ {
+	for i := 1; i < 20*slabSlots; i++ {
 		h, p := s.New()
 		p.ID = ID(i)
 		hs = append(hs, h)
 	}
-	if got := s.Get(h0); got != p0 || got.ID != 42 || got.Tag != "first" {
+	if got := s.Get(h0); got != p0 || got.ID != 42 || got.Tag() != "first" {
 		t.Fatalf("Get(%d) = %p %+v after growth, want %p with ID 42", h0, got, *got, p0)
 	}
 	for i, h := range hs[1:] {
@@ -29,34 +32,70 @@ func TestSlabAddressesStable(t *testing.T) {
 	}
 }
 
+// TestSlabSlotsAligned: every slot starts on a 64-byte cache line, and
+// a chunk with the runtime's 8-byte header fits the 16 KB size class.
+func TestSlabSlotsAligned(t *testing.T) {
+	if n := unsafe.Sizeof(slabChunk{}) + 8; n > 16384 {
+		t.Fatalf("chunk takes %d bytes with its header, want <= 16384", n)
+	}
+	var s Slab
+	for i := 0; i < 3*slabSlots; i++ {
+		h, p := s.New()
+		if a := uintptr(unsafe.Pointer(p)); a%64 != 0 {
+			t.Fatalf("slot %d (handle %#x) at %#x, %d bytes past a cache line", i, h, a, a%64)
+		}
+	}
+}
+
 // TestSlabReleaseZeroesAndReuses: Release zeroes every field of the
-// slot, whatever fields Packet grows, and the next New hands back the
-// same slot.
+// slot, whatever fields Packet grows, but the store back-pointer, drops
+// the slot's route reference, and the next New hands back the same
+// slot.
 func TestSlabReleaseZeroesAndReuses(t *testing.T) {
 	var s Slab
 	s.New()
 	h, p := s.New()
 	s.New()
+	st := s.Store()
+	route := st.NewRoute([]graph.EdgeID{1, 2})
 	v := reflect.ValueOf(p).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Int, reflect.Int64:
+		name := v.Type().Field(i).Name
+		switch {
+		case name == "store":
+			if f.IsZero() {
+				t.Fatal("carved slot has no store back-pointer")
+			}
+			continue
+		case name == "route":
+			p.SetRoute(route)
+		case name == "tag":
+			p.SetTag("x")
+		case name == "source":
+			p.SetSourceName("y")
+		case f.CanSet() && f.CanInt():
 			f.SetInt(int64(i + 1))
-		case reflect.String:
-			f.SetString("x")
-		case reflect.Slice:
-			f.Set(reflect.ValueOf([]graph.EdgeID{1, 2}))
+		case f.CanInt():
+			// unexported scalars set through the accessors above
 		default:
-			t.Fatalf("field %s: kind %s not covered by this test", v.Type().Field(i).Name, f.Kind())
+			t.Fatalf("field %s: kind %s not covered by this test", name, f.Kind())
 		}
 		if f.IsZero() {
-			t.Fatalf("field %s still zero", v.Type().Field(i).Name)
+			t.Fatalf("field %s still zero", name)
 		}
 	}
+	if !st.Held(route) {
+		t.Fatal("SetRoute took no reference")
+	}
 	s.Release(h)
-	if !v.IsZero() {
-		t.Fatalf("released slot not zeroed: %+v", *p)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "store" && !v.Field(i).IsZero() {
+			t.Fatalf("released slot keeps %s: %+v", name, *p)
+		}
+	}
+	if p.store != st || st.Held(route) {
+		t.Fatalf("release lost the back-pointer or kept the route reference")
 	}
 	h2, p2 := s.New()
 	if h2 != h || p2 != p {
@@ -69,5 +108,42 @@ func TestSlabReleaseZeroesAndReuses(t *testing.T) {
 	s.Release(b)
 	if got, _ := s.New(); got != b {
 		t.Fatalf("New = %d, want the last released %d", got, b)
+	}
+}
+
+// TestStoreRecyclesEntriesNotEdges: an entry whose last reference is
+// dropped is reused by the next NewRoute, in fresh arena space, so a
+// slice of the old route keeps its edges and entries track live routes.
+func TestStoreRecyclesEntriesNotEdges(t *testing.T) {
+	var s Slab
+	st := s.Store()
+	a := routed(&s, []graph.EdgeID{1, 2, 3}, 0)
+	b := routed(&s, []graph.EdgeID{4, 5}, 0)
+	c := routed(&s, []graph.EdgeID{7}, 0)
+	c.SetRoute(b.RouteID()) // c shares b's route; its own entry is recycled
+	if st.LiveRoutes() != 2 {
+		t.Fatalf("LiveRoutes = %d, want 2", st.LiveRoutes())
+	}
+	old := a.Route()
+	for i := 0; i < 100; i++ {
+		a.SetRoute(st.NewRoute([]graph.EdgeID{graph.EdgeID(10 + i), 9, 8}))
+		if st.LiveRoutes() != 2 {
+			t.Fatalf("round %d: LiveRoutes = %d, want 2", i, st.LiveRoutes())
+		}
+	}
+	if !slices.Equal(old, []graph.EdgeID{1, 2, 3}) {
+		t.Fatalf("a recycled route's slice reads %v, want [1 2 3]", old)
+	}
+	if len(st.routes) > 4 {
+		t.Fatalf("%d route entries made for at most 3 live ones", len(st.routes)-1)
+	}
+	if !slices.Equal(a.Route(), []graph.EdgeID{109, 9, 8}) {
+		t.Fatalf("a reads %v", a.Route())
+	}
+	s.Release(0)
+	s.Release(1)
+	s.Release(2)
+	if st.LiveRoutes() != 0 {
+		t.Fatalf("LiveRoutes = %d after every packet left, want 0", st.LiveRoutes())
 	}
 }

@@ -30,14 +30,9 @@ func mkQueue(specs ...spec) *buffer.Buffer {
 			route[j] = graph.EdgeID(j)
 		}
 		h, p := slab.New()
-		*p = packet.Packet{
-			ID:         packet.ID(i),
-			Route:      route,
-			Pos:        int(s[2]),
-			InjectedAt: s[0],
-			ArrivedAt:  s[1],
-			EnqueueSeq: int64(i),
-		}
+		p.ID, p.Pos = packet.ID(i), int32(s[2])
+		p.InjectedAt, p.ArrivedAt, p.EnqueueSeq = s[0], s[1], int64(i)
+		p.SetRoute(slab.Store().NewRoute(route))
 		q.PushBack(h)
 	}
 	return &q

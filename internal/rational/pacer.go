@@ -9,6 +9,11 @@ type Pacer struct {
 	rate  Rat
 	ticks int64 // number of ticks already consumed
 	sent  int64 // events emitted so far
+
+	// With rate num/den = whole + frac/den, floor(r*t) is whole*t plus
+	// the number of times t additions of frac wrap around den; acc is
+	// frac*ticks mod den. A tick is then one add and one compare.
+	whole, frac, den, acc int64
 }
 
 // NewPacer returns a pacer for the given rate. Negative rates panic.
@@ -16,7 +21,8 @@ func NewPacer(rate Rat) *Pacer {
 	if rate.Sign() < 0 {
 		panic("rational: negative pacer rate")
 	}
-	return &Pacer{rate: rate}
+	r := rate.normalized()
+	return &Pacer{rate: rate, whole: r.num / r.den, frac: r.num % r.den, den: r.den}
 }
 
 // Rate returns the configured rate.
@@ -26,9 +32,18 @@ func (p *Pacer) Rate() Rat { return p.rate }
 // due at this tick: floor(r*(ticks+1)) - floor(r*ticks).
 func (p *Pacer) Tick() int64 {
 	p.ticks++
-	due := p.rate.FloorMulInt(p.ticks)
-	n := due - p.sent
-	p.sent = due
+	n := p.whole
+	if p.frac != 0 {
+		// acc + frac >= den, compared without forming the sum, which
+		// overflows for denominators near MaxInt64.
+		if gap := p.den - p.frac; p.acc >= gap {
+			p.acc -= gap
+			n++
+		} else {
+			p.acc += p.frac
+		}
+	}
+	p.sent += n
 	return n
 }
 
@@ -40,8 +55,7 @@ func (p *Pacer) Ticks() int64 { return p.ticks }
 
 // Reset restarts the pacer from zero.
 func (p *Pacer) Reset() {
-	p.ticks = 0
-	p.sent = 0
+	p.ticks, p.sent, p.acc = 0, 0, 0
 }
 
 // CappedPacer is a Pacer that stops after emitting a fixed budget of

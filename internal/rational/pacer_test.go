@@ -1,6 +1,10 @@
 package rational
 
-import "testing"
+import (
+	"math"
+	"math/big"
+	"testing"
+)
 
 // TestCappedPacerSingleTickOvershoot covers the truncation branch of
 // CappedPacer.Tick: with rate 7 and budget 5 the very first tick owes
@@ -51,5 +55,64 @@ func TestCappedPacerMidStreamOvershoot(t *testing.T) {
 	}
 	if got := p.Tick(); got != 0 {
 		t.Errorf("tick 3 emitted %d, want 0", got)
+	}
+}
+
+// TestPacerLongRunExact ticks pacers whose denominators sit near
+// MaxInt64, where frac*t and acc+frac overflow int64, for millions of
+// ticks and checks the cumulative count against floor(r*t) computed in
+// big integers.
+func TestPacerLongRunExact(t *testing.T) {
+	const max = math.MaxInt64
+	rates := []Rat{
+		New(max-1, max),
+		New(1, max),
+		New(max/3, max),
+		New(max, max-1),
+		New(1<<62+1, 1<<62),
+		New(3, 7),
+		FromInt(2),
+	}
+	ticks := int64(3_000_000)
+	if testing.Short() {
+		ticks = 300_000
+	}
+	for _, r := range rates {
+		p := NewPacer(r)
+		var total int64
+		num, den := big.NewInt(r.num), big.NewInt(r.den)
+		for i := int64(1); i <= ticks; i++ {
+			total += p.Tick()
+			if i%(ticks/10) != 0 && i != 1 {
+				continue
+			}
+			want := new(big.Int).Mul(num, big.NewInt(i))
+			want.Div(want, den) // Euclidean: floor for nonnegative operands
+			if !want.IsInt64() || total != want.Int64() || p.Emitted() != total {
+				t.Fatalf("rate %v after %d ticks: emitted %d (Emitted %d), want %v", r, i, total, p.Emitted(), want)
+			}
+		}
+	}
+}
+
+// TestPacerZeroValueAndReset: the zero Pacer never emits, and Reset
+// replays the same schedule from the start.
+func TestPacerZeroValueAndReset(t *testing.T) {
+	var z Pacer
+	for i := 0; i < 10; i++ {
+		if z.Tick() != 0 {
+			t.Fatal("zero pacer emitted")
+		}
+	}
+	p := NewPacer(New(5, 7))
+	var first []int64
+	for i := 0; i < 20; i++ {
+		first = append(first, p.Tick())
+	}
+	p.Reset()
+	for i, want := range first {
+		if got := p.Tick(); got != want {
+			t.Fatalf("tick %d after Reset = %d, want %d", i+1, got, want)
+		}
 	}
 }

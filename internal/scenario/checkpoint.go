@@ -6,6 +6,9 @@
 package scenario
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -20,10 +23,41 @@ type Checkpoint = sim.Checkpoint
 // build.
 func (b *Built) source() string {
 	if b.src == "" {
-		data, _ := json.Marshal(b.Spec) // no floats, no failing marshalers: cannot fail
-		b.src = sim.SourceDigest(data)
+		b.src = sourceDigest(b.Spec)
 	}
 	return b.src
+}
+
+// emptyReplay is the encoding of ReplaySpec{}.
+const emptyReplay = `{"routes":null,"injections":null}`
+
+// sourceDigest returns sim.SourceDigest(json.Marshal(spec)) without
+// letting json.Marshal scan a replay block twice: encoding/json
+// compacts what a json.Marshaler returns in a pass of its own, which
+// for a recorded schedule costs more than the rest of the build. So
+// the spec is encoded with an empty replay block in its place, and the
+// hash takes the bytes around that block's encoding with the block's
+// own ReplaySpec.MarshalJSON output, compact already, in between. The
+// first `"replay":` key followed by an object is the top-level
+// adversary's: topology and policy precede it, and strings cannot
+// hold an unescaped quote.
+func sourceDigest(spec *Spec) string {
+	rp := spec.Adversary.Replay
+	if rp == nil {
+		data, _ := json.Marshal(spec) // no floats, no failing marshalers: cannot fail
+		return sim.SourceDigest(data)
+	}
+	shallow := *spec
+	shallow.Adversary.Replay = &ReplaySpec{}
+	data, _ := json.Marshal(&shallow)
+	const key = `"replay":`
+	at := bytes.Index(data, []byte(key+emptyReplay)) + len(key)
+	replay, _ := rp.MarshalJSON()
+	h := sha256.New()
+	h.Write(data[:at])
+	h.Write(replay)
+	h.Write(data[at+len(emptyReplay):])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Checkpoint names the built scenario's current state, recording the

@@ -151,7 +151,7 @@ func seedsFromEngine(name func(graph.EdgeID) string, e *sim.Engine) []SeedSpec {
 	sort.Slice(pkts, func(i, j int) bool { return pkts[i].ID < pkts[j].ID })
 	rec := make([]adversary.RecordedInjection, len(pkts))
 	for i, p := range pkts {
-		rec[i] = adversary.RecordedInjection{Step: 0, Route: p.Route, Tag: p.Tag}
+		rec[i] = adversary.RecordedInjection{Step: 0, Route: p.Route(), Tag: p.Tag()}
 	}
 	return seedsFromRecording(name, rec)
 }

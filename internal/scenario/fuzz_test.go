@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"aqt/internal/sim"
 )
 
 // maxFuzzSeed is the largest checked-in spec FuzzScenarioLoad is seeded
@@ -40,7 +43,8 @@ func corpusSpecs(t testing.TB) []corpusFile {
 
 // checkLoad is FuzzScenarioLoad's contract on one input: data is
 // either rejected with a positioned *Error or decodes to a spec that
-// survives an Encode → Parse round trip unchanged, and Parse agrees
+// survives an Encode → Parse round trip unchanged and whose checkpoint
+// source is the digest of its json.Marshal encoding, and Parse agrees
 // with the token-Decoder reference walker (strict_test.go).
 func checkLoad(t *testing.T, data []byte) {
 	if err := sameAsRef(data); err != nil {
@@ -67,6 +71,20 @@ func checkLoad(t *testing.T, data []byte) {
 	}
 	if enc2 := s2.Encode(); !bytes.Equal(enc, enc2) {
 		t.Fatalf("second Encode differs from first:\n%s\n---\n%s", enc, enc2)
+	}
+	checkSourceDigest(t, s)
+}
+
+// checkSourceDigest holds sourceDigest to its definition,
+// sim.SourceDigest(json.Marshal(spec)).
+func checkSourceDigest(t *testing.T, s *Spec) {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sourceDigest(s), sim.SourceDigest(data); got != want {
+		t.Fatalf("sourceDigest = %s, want %s (json.Marshal digest)", got, want)
 	}
 }
 

@@ -66,6 +66,33 @@ func TestReplayMarshalMatchesStruct(t *testing.T) {
 	}
 }
 
+// TestSourceDigestSplicesReplay: sourceDigest equals the json.Marshal
+// digest on every checked-in spec, and on replay specs built to
+// mislead its search for the replay block: an edge and a stream
+// named after it, and a phase holding a replay block of its own.
+func TestSourceDigestSplicesReplay(t *testing.T) {
+	if got, _ := (&ReplaySpec{}).MarshalJSON(); string(got) != emptyReplay {
+		t.Fatalf("empty ReplaySpec encodes as %s, want %s", got, emptyReplay)
+	}
+	for _, c := range corpusSpecs(t) {
+		s, err := Parse(c.name, c.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSourceDigest(t, s)
+	}
+	replay := &ReplaySpec{Routes: [][]string{{"e1"}}, Tags: []string{"<x>"}, Injections: []InjGroup{{T: 1, N: 2, Tag: 1}}}
+	s := &Spec{
+		Version: Version,
+		Name:    `"replay":` + emptyReplay,
+		Policy:  PolicySpec{Default: "FIFO", Edges: map[string]string{"replay": emptyReplay}},
+		Adversary: AdversarySpec{Kind: "replay", Replay: replay,
+			Streams: []StreamSpec{{Name: `"replay":` + emptyReplay, Route: []string{"e1"}}},
+			Phases:  []PhaseSpec{{Adversary: AdversarySpec{Kind: "replay", Replay: &ReplaySpec{}}}}},
+	}
+	checkSourceDigest(t, s)
+}
+
 // TestCorpusSources pins the checkpoint source of every checked-in
 // spec: the SHA-256 of its JSON encoding, which names the spec in
 // every checkpoint, so the encoding must stay byte-identical.

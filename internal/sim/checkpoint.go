@@ -162,10 +162,11 @@ func (e *Engine) Digest() string {
 		put(int64(q.Len()))
 		for i := 0; i < q.Len(); i++ {
 			p := q.At(i)
-			put(int64(p.ID), int64(p.Pos), p.InjectedAt, p.ArrivedAt, int64(len(p.Tag)))
-			b = append(b, p.Tag...)
-			put(int64(len(p.Route)))
-			for _, r := range p.Route {
+			tag, route := p.Tag(), p.Route()
+			put(int64(p.ID), int64(p.Pos), p.InjectedAt, p.ArrivedAt, int64(len(tag)))
+			b = append(b, tag...)
+			put(int64(len(route)))
+			for _, r := range route {
 				put(int64(r))
 			}
 		}

@@ -149,7 +149,7 @@ func (e *Engine) evict(eid graph.EdgeID, v int, t int64) {
 	vh := buf.RemoveAt(v)
 	victim := e.slab.Get(vh)
 	e.shrinkLen(eid, buf.Len())
-	if victim.Pos < len(victim.Route)-1 {
+	if victim.RemainingHops() > 1 {
 		e.nonFinal--
 	}
 	if e.keyed != nil {

@@ -189,16 +189,24 @@ type Engine struct {
 	maxEdge  graph.EdgeID
 	maxDirty bool
 
-	// slab stores every packet; buffers, inFlight and the slab's free
-	// list hold int32 handles into it, never pointers. A slot is
-	// released once the packet's OnAbsorb or OnDrop callbacks return,
-	// and the next admission reuses it, so packet memory tracks the
-	// backlog, not lifetime injections.
+	// The step flags share the word maxEdge and maxDirty leave free.
+	started bool // true once Step has run; seeds then refused
+	// midStep is true while stepCore runs its send/receive/inject
+	// substeps; reroutes are legal only before them (from PreStep, or
+	// between steps, which is equivalent to the next PreStep).
+	midStep bool
+
+	// slab stores every packet, and its store every route and label;
+	// buffers, inFlight and the slab's free list hold int32 handles
+	// into it, never pointers. A slot is released once the packet's
+	// OnAbsorb or OnDrop callbacks return, dropping its route reference,
+	// and the next admission reuses it, so packet and route memory
+	// track the backlog, not lifetime injections.
 	slab packet.Slab
 
-	// routes holds the immutable routes packets share (routes.go);
-	// allocated on the first admission or reroute, so engine
-	// construction allocates nothing for it.
+	// routes decides which routes packets share (routes.go); allocated
+	// on the first admission or reroute, so engine construction
+	// allocates nothing for it.
 	routes *routeStore
 
 	// paths checks route simplicity for admit and reroutes
@@ -223,11 +231,6 @@ type Engine struct {
 	dropObs      []DropObserver
 
 	maxResidence int64 // max completed residence in one buffer
-	started      bool  // true once Step has run; seeds then refused
-	// midStep is true while stepCore runs its send/receive/inject
-	// substeps; reroutes are legal only before them (from PreStep, or
-	// between steps, which is equivalent to the next PreStep).
-	midStep bool
 
 	// Keyed-policy fast path (see keyed.go): non-nil when the policy
 	// implements policy.Keyed. heapStale counts, per edge, the heap
@@ -451,24 +454,24 @@ func (e *Engine) SeedN(n int, inj packet.Injection) {
 func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
 	rs := e.routeStore()
 	route := rs.stored(inj.Route)
-	if route == nil {
+	if route == 0 {
 		if !e.cfg.SkipRouteCheck && !e.paths.IsSimplePath(e.g, inj.Route) {
 			panic(fmt.Sprintf("sim: injection route is not a simple path: %s",
 				e.g.RouteString(inj.Route)))
 		}
 		route = rs.store(inj.Route)
 	}
-	// The slot is zeroed; fill it field by field (a composite-literal
-	// assignment would copy the whole struct through a bulk barrier).
+	// The slot is zeroed but for its store back-pointer; fill it field
+	// by field, scalars only.
 	h, p := e.slab.New()
 	p.ID = e.nextID
-	p.Route = route
+	p.SetRoute(route)
 	p.InjectedAt = t
 	if inj.Tag != "" {
-		p.Tag = inj.Tag
+		p.SetTag(inj.Tag)
 	}
 	if inj.SourceName != "" {
-		p.SourceName = inj.SourceName
+		p.SetSourceName(inj.SourceName)
 	}
 	e.nextID++
 	e.injected++
@@ -489,7 +492,7 @@ func (e *Engine) enqueue(h packet.Handle, p *packet.Packet, t int64) {
 	p.EnqueueSeq = e.nextSeq
 	e.nextSeq++
 	eid := p.CurrentEdge()
-	if p.Pos < len(p.Route)-1 {
+	if p.RemainingHops() > 1 {
 		e.nonFinal++
 	}
 	e.buffers[eid].PushBack(h)
@@ -599,7 +602,7 @@ func (e *Engine) stepCore() {
 		}
 		p := e.slab.Get(h)
 		e.shrinkLen(eid, buf.Len())
-		if p.Pos < len(p.Route)-1 {
+		if p.RemainingHops() > 1 {
 			e.nonFinal--
 		}
 		if res := e.now - p.ArrivedAt; res > e.maxResidence {
@@ -621,7 +624,7 @@ func (e *Engine) stepCore() {
 	for _, h := range e.inFlight {
 		p := e.slab.Get(h)
 		p.Pos++
-		if p.Pos == len(p.Route) {
+		if p.RemainingHops() == 0 {
 			e.absorbed++
 			for _, ob := range e.absObs {
 				ob.OnAbsorb(e.now, p)
@@ -713,7 +716,7 @@ func (e *Engine) ExtendRoute(p *packet.Packet, ext []graph.EdgeID) {
 	if len(ext) == 0 {
 		return
 	}
-	e.reroute(p, p.Route[p.Pos+1:], ext)
+	e.reroute(p, p.Route()[p.Pos+1:], ext)
 }
 
 // ReplaceRouteSuffix replaces the part of p's route strictly after its
@@ -732,36 +735,38 @@ func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) 
 // reroute replaces the suffix of p's route after its current edge with
 // suffix followed by ext. The route store builds the new route once per
 // distinct (old route, position, suffix, ext) within a step, and it is
-// checked for contiguity and simplicity once, when built: a memo hit
-// returns that same route, already checked against the same immutable
-// graph.
+// checked for contiguity and simplicity once, before it is stored: a
+// memo hit returns that same route, already checked against the same
+// immutable graph.
 func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 	if e.midStep {
 		panic(fmt.Sprintf("sim: reroute of %v during the send/receive/inject substeps; "+
 			"Lemma 3.3 reroutes are allowed only from Adversary.PreStep (or between steps)", p))
 	}
-	old := p.Route
+	old, oldID, pos := p.Route(), p.RouteID(), int(p.Pos)
 	var oldKey int64
 	if e.keyed != nil {
 		oldKey = e.keyed.SelectionKey(p)
 	}
 	rs := e.routeStore()
-	route := rs.memoized(old, p.Pos, suffix, ext, e.now)
-	if route == nil {
-		route = rs.copy(old[:p.Pos+1], suffix, ext)
+	route := rs.memoized(oldID, old, pos, suffix, ext, e.now)
+	if route == 0 {
+		r := append(append(append(rs.scratch[:0], old[:pos+1]...), suffix...), ext...)
+		rs.scratch = r
 		if !e.cfg.SkipRouteCheck {
-			if !e.g.IsPath(route) {
+			if !e.g.IsPath(r) {
 				panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",
-					p, e.g.RouteString(route)))
+					p, e.g.RouteString(r)))
 			}
-			if !e.paths.NodesDistinct(e.g, route) {
+			if !e.paths.NodesDistinct(e.g, r) {
 				panic(fmt.Sprintf("sim: reroute of %v is not simple: %s",
-					p, e.g.RouteString(route)))
+					p, e.g.RouteString(r)))
 			}
 		}
-		rs.memoize(old, p.Pos, route)
+		route = rs.st.NewRoute(r)
+		rs.memoize(oldID, pos, route)
 	}
-	if wasFinal, isFinal := p.Pos == len(old)-1, p.Pos == len(route)-1; wasFinal != isFinal {
+	if wasFinal, isFinal := pos == len(old)-1, pos == len(rs.st.Route(route))-1; wasFinal != isFinal {
 		// The packet sits in a buffer (reroutes are PreStep-only), so a
 		// finality flip moves it across the nonFinal count.
 		if isFinal {
@@ -770,7 +775,9 @@ func (e *Engine) reroute(p *packet.Packet, suffix, ext []graph.EdgeID) {
 			e.nonFinal++
 		}
 	}
-	p.Route = route
+	// p drops its reference on old, which may recycle the entry; the
+	// edges of old stay as they are for the observers below.
+	p.SetRoute(route)
 	p.Reroutes++
 	if e.keyed != nil {
 		// The route change may have altered the packet's selection key

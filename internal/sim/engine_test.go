@@ -96,7 +96,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 		e.Step()
 		q := e.Queue(g.MustEdge("e2"))
 		if q.Len() > 0 {
-			order = append(order, q.Back().Tag)
+			order = append(order, q.Back().Tag())
 		}
 	}
 	if strings.Join(order, "") != "abcd" {
@@ -124,8 +124,8 @@ func TestArrivalTieBreakTransitBeforeInjection(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("queue at m = %d", q.Len())
 	}
-	if q.At(0).Tag != "transit" || q.At(1).Tag != "injected" {
-		t.Errorf("tie-break order = [%s %s], want [transit injected]", q.At(0).Tag, q.At(1).Tag)
+	if q.At(0).Tag() != "transit" || q.At(1).Tag() != "injected" {
+		t.Errorf("tie-break order = [%s %s], want [transit injected]", q.At(0).Tag(), q.At(1).Tag())
 	}
 }
 
@@ -151,8 +151,8 @@ func TestTransitTieBreakByUpstreamEdgeID(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("queue at down = %d", q.Len())
 	}
-	if q.At(0).Tag != "fromUp1" || q.At(1).Tag != "fromUp2" {
-		t.Errorf("order = [%s %s], want [fromUp1 fromUp2]", q.At(0).Tag, q.At(1).Tag)
+	if q.At(0).Tag() != "fromUp1" || q.At(1).Tag() != "fromUp2" {
+		t.Errorf("order = [%s %s], want [fromUp1 fromUp2]", q.At(0).Tag(), q.At(1).Tag())
 	}
 }
 

@@ -28,7 +28,7 @@ func TestHeterogeneousPolicies(t *testing.T) {
 		e.Step()
 		q := e.Queue(g.MustEdge("e2"))
 		if q.Len() > 0 {
-			order = append(order, q.Back().Tag)
+			order = append(order, q.Back().Tag())
 		}
 	}
 	want := "cba"

@@ -63,11 +63,11 @@ func (c *chaosRerouter) PreStep(e *sim.Engine) {
 	}
 	// Extend by one fresh edge when a simple continuation exists.
 	g := e.Graph()
-	onRoute := map[graph.NodeID]bool{g.Edge(p.Route[0]).From: true}
-	for _, eid := range p.Route {
+	onRoute := map[graph.NodeID]bool{g.Edge(p.Route()[0]).From: true}
+	for _, eid := range p.Route() {
 		onRoute[g.Edge(eid).To] = true
 	}
-	last := g.Edge(p.Route[len(p.Route)-1]).To
+	last := g.Edge(p.Route()[len(p.Route())-1]).To
 	for _, eid := range g.Out(last) {
 		if !onRoute[g.Edge(eid).To] {
 			e.ExtendRoute(p, []graph.EdgeID{eid})

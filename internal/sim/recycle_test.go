@@ -22,8 +22,20 @@ func (l *injectLog) OnInject(_ int64, p *packet.Packet) {
 	l.ptrs = append(l.ptrs, p)
 	l.ids = append(l.ids, p.ID)
 	if l.routes != nil {
-		l.routes[p.ID] = slices.Clone(p.Route)
+		l.routes[p.ID] = slices.Clone(p.Route())
 	}
+}
+
+// zeroedSlot reports whether every field of p is zero but its store
+// back-pointer, which a slot keeps for its lifetime.
+func zeroedSlot(p *packet.Packet) bool {
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).Name != "store" && !v.Field(i).IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestReleasedSlotReused: once a packet is absorbed its slot is zeroed
@@ -39,14 +51,14 @@ func TestReleasedSlotReused(t *testing.T) {
 	if e.Absorbed() != 1 {
 		t.Fatalf("absorbed %d after step 1, want 1", e.Absorbed())
 	}
-	if !reflect.ValueOf(*a).IsZero() {
+	if !zeroedSlot(a) {
 		t.Fatalf("released slot not zeroed: %+v", *a)
 	}
 	e.Run(1)
 	if len(log.ptrs) != 2 || log.ptrs[1] != a {
 		t.Fatalf("step-2 admission did not reuse the released slot")
 	}
-	if a.ID != 1 || a.Tag != "next" || a.InjectedAt != 2 || a.Reroutes != 0 {
+	if a.ID != 1 || a.Tag() != "next" || a.InjectedAt != 2 || a.Reroutes != 0 {
 		t.Fatalf("reused slot holds %+v, want a fresh packet #1 injected at 2", *a)
 	}
 }
@@ -142,8 +154,8 @@ func TestAdversaryRewritingRouteInPlace(t *testing.T) {
 	log := &injectLog{routes: map[packet.ID][]graph.EdgeID{}}
 	e.AddEventObserver(log)
 	check := func(p *packet.Packet) {
-		if want := log.routes[p.ID]; !slices.Equal(p.Route, want) {
-			t.Fatalf("t=%d: packet #%d route %v, admitted with %v", e.Now(), p.ID, p.Route, want)
+		if want := log.routes[p.ID]; !slices.Equal(p.Route(), want) {
+			t.Fatalf("t=%d: packet #%d route %v, admitted with %v", e.Now(), p.ID, p.Route(), want)
 		}
 	}
 	e.AddEventObserver(absorbCheck(check))
@@ -170,7 +182,7 @@ func TestRerouteMemoMatchesRequest(t *testing.T) {
 	e.SeedN(8, packet.Inj(r...))
 	var ps []*packet.Packet
 	e.ForEachQueued(func(_ graph.EdgeID, p *packet.Packet) { ps = append(ps, p) })
-	if &ps[0].Route[0] != &ps[7].Route[0] {
+	if &ps[0].Route()[0] != &ps[7].Route()[0] {
 		t.Fatal("equal seeded routes are not shared")
 	}
 	e.Run(1) // ps[0] now sits on e2 (pos 1), the rest on e1 (pos 0)
@@ -194,14 +206,14 @@ func TestRerouteMemoMatchesRequest(t *testing.T) {
 		} else {
 			e.reroute(c.p, c.suffix, c.ext)
 		}
-		if !slices.Equal(c.p.Route, c.want) {
-			t.Fatalf("case %d: route %v, want %v", i, c.p.Route, c.want)
+		if !slices.Equal(c.p.Route(), c.want) {
+			t.Fatalf("case %d: route %v, want %v", i, c.p.Route(), c.want)
 		}
 	}
-	if &ps[5].Route[0] != &ps[4].Route[0] || &ps[4].Route[0] != &ps[3].Route[0] {
+	if &ps[5].Route()[0] != &ps[4].Route()[0] || &ps[4].Route()[0] != &ps[3].Route()[0] {
 		t.Error("equal reroutes of one old route at one position built separate routes")
 	}
-	if &ps[0].Route[0] == &ps[1].Route[0] {
+	if &ps[0].Route()[0] == &ps[1].Route()[0] {
 		t.Error("reroutes at different positions share a route")
 	}
 	// The memo is per step: a later step's reroute of an untouched
@@ -219,8 +231,8 @@ func TestRerouteMemoMatchesRequest(t *testing.T) {
 	}
 	for _, p := range rest {
 		e.ExtendRoute(p, ext2)
-		if !slices.Equal(p.Route, route(g, "e1", "e2", "e3", "e4")) {
-			t.Fatalf("step-2 reroute: route %v", p.Route)
+		if !slices.Equal(p.Route(), route(g, "e1", "e2", "e3", "e4")) {
+			t.Fatalf("step-2 reroute: route %v", p.Route())
 		}
 	}
 	e.CheckConservation()

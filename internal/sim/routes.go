@@ -4,39 +4,46 @@ import (
 	"slices"
 
 	"aqt/internal/graph"
+	"aqt/internal/packet"
 )
 
-// routeStore owns the engine's routes. A route is an immutable value
-// carved from a chunked arena at exact capacity, so appends by callers
-// cannot clobber a neighbour, and packets share routes freely:
-// admission reuses the route last admitted on the same first edge when
-// the edges are equal, and a reroute memo builds one new route per
-// distinct old route, so a Lemma 3.3 batch extension of many packets
-// that share an old route builds one route, not one per packet.
+// routeStore decides which routes the engine's packets share. The
+// routes themselves are reference-counted entries of the slab's
+// packet.Store (immutable once made, recycled when no packet holds
+// them); routeStore keeps two caches of entry IDs over it: admission
+// reuses the route last admitted on the same first edge when the edges
+// are equal, and a reroute memo builds one new route per distinct old
+// route, so a Lemma 3.3 batch extension of many packets that share an
+// old route builds one route, not one per packet.
 //
 // Validate once: last and memo hold only routes that passed the
 // engine's route checks against its graph (or were stored by an engine
-// that skips them). The engine records a route there only after its
-// check passes, so a check that panics — and is recovered by a caller —
+// that skips them). The engine makes a route entry only after its check
+// passes, so a check that panics — and is recovered by a caller —
 // leaves nothing unchecked behind, and a route found there is never
 // checked again.
 type routeStore struct {
-	arena []graph.EdgeID
-	// last[e] is the route last admitted with first edge e.
-	last [][]graph.EdgeID
+	st *packet.Store
+	// last[e] is the route last admitted with first edge e. It holds a
+	// reference on each, so a route outlives its packets while it is its
+	// edge's latest (at most one route per edge) and the next packet on
+	// it shares it instead of copying it again.
+	last []packet.RouteID
 	// memo maps (old route, pos) to the route a reroute last built from
-	// it during step memoAt; allocated on the first reroute.
-	memo   map[rerouteKey][]graph.EdgeID
+	// it during step memoAt; allocated on the first reroute. It holds
+	// no references, and entries are recycled, so a hit counts only
+	// while its route is held and equal to the one asked for.
+	memo   map[rerouteKey]packet.RouteID
 	memoAt int64
+	// scratch builds a rerouted route before it is checked.
+	scratch []graph.EdgeID
 }
 
-// rerouteKey identifies a reroute's old route by the address of its
-// first edge in the arena (routes are nonempty, immutable and never
-// overlap, so the address implies the content) and the rerouted
+// rerouteKey identifies a reroute by its old route and the rerouted
 // packet's position on it.
 type rerouteKey struct {
-	old *graph.EdgeID
-	pos int
+	old packet.RouteID
+	pos int32
 }
 
 // memoCap bounds the reroute memo: reroutes between two steps that
@@ -48,70 +55,62 @@ const memoCap = 4096
 // use so engine construction allocates nothing for it.
 func (e *Engine) routeStore() *routeStore {
 	if e.routes == nil {
-		e.routes = &routeStore{last: make([][]graph.EdgeID, e.g.NumEdges())}
+		e.routes = &routeStore{st: e.slab.Store(), last: make([]packet.RouteID, e.g.NumEdges())}
 	}
 	return e.routes
 }
 
-// copy copies the concatenation of parts into the arena.
-func (s *routeStore) copy(parts ...[]graph.EdgeID) []graph.EdgeID {
-	n := 0
-	for _, part := range parts {
-		n += len(part)
-	}
-	if cap(s.arena)-len(s.arena) < n {
-		s.arena = make([]graph.EdgeID, 0, max(n, 1024))
-	}
-	start := len(s.arena)
-	for _, part := range parts {
-		s.arena = append(s.arena, part...)
-	}
-	return s.arena[start : start+n : start+n]
-}
-
 // stored returns the route last admitted on route's first edge when
-// its edges equal route's, else nil.
-func (s *routeStore) stored(route []graph.EdgeID) []graph.EdgeID {
+// its edges equal route's, else 0.
+func (s *routeStore) stored(route []graph.EdgeID) packet.RouteID {
 	if len(route) == 0 || uint(route[0]) >= uint(len(s.last)) {
-		return nil
+		return 0
 	}
-	if last := s.last[route[0]]; slices.Equal(last, route) {
-		return last
+	if id := s.last[route[0]]; id != 0 && slices.Equal(s.st.Route(id), route) {
+		return id
 	}
-	return nil
+	return 0
 }
 
-// store copies route, which passed the admission check, into the arena
-// and remembers it for its first edge.
-func (s *routeStore) store(route []graph.EdgeID) []graph.EdgeID {
-	r := s.copy(route)
-	s.last[route[0]] = r
-	return r
+// store copies route, which passed the admission check, into a new
+// entry and makes it its first edge's latest.
+func (s *routeStore) store(route []graph.EdgeID) packet.RouteID {
+	id := s.st.NewRoute(route)
+	s.st.Retain(id)
+	s.st.Drop(s.last[route[0]])
+	s.last[route[0]] = id
+	return id
 }
 
 // memoized returns the route the memo holds for a reroute of a packet
-// at pos on old to old[:pos+1] + suffix + ext at step now, or nil. The
-// memo is emptied first when the step changes or it reached memoCap
-// entries.
-func (s *routeStore) memoized(old []graph.EdgeID, pos int, suffix, ext []graph.EdgeID, now int64) []graph.EdgeID {
+// at pos on old (entry oldID) to old[:pos+1] + suffix + ext at step
+// now, or 0. The memo is emptied first when the step changes or it
+// reached memoCap entries.
+func (s *routeStore) memoized(oldID packet.RouteID, old []graph.EdgeID, pos int, suffix, ext []graph.EdgeID, now int64) packet.RouteID {
 	if s.memo == nil {
-		s.memo = make(map[rerouteKey][]graph.EdgeID)
+		s.memo = make(map[rerouteKey]packet.RouteID)
 	}
 	if s.memoAt != now || len(s.memo) >= memoCap {
 		clear(s.memo)
 		s.memoAt = now
 	}
-	if r, ok := s.memo[rerouteKey{old: &old[0], pos: pos}]; ok {
-		if tail := r[pos+1:]; len(tail) == len(suffix)+len(ext) &&
-			slices.Equal(tail[:len(suffix)], suffix) && slices.Equal(tail[len(suffix):], ext) {
-			return r
-		}
+	id, ok := s.memo[rerouteKey{old: oldID, pos: int32(pos)}]
+	if !ok || !s.st.Held(id) {
+		return 0
 	}
-	return nil
+	r := s.st.Route(id)
+	if len(r) != pos+1+len(suffix)+len(ext) || !slices.Equal(r[:pos+1], old[:pos+1]) {
+		return 0
+	}
+	if tail := r[pos+1:]; !slices.Equal(tail[:len(suffix)], suffix) || !slices.Equal(tail[len(suffix):], ext) {
+		return 0
+	}
+	return id
 }
 
-// memoize records route, built from old at pos by a reroute that passed
-// the route checks, replacing any earlier entry for (old, pos).
-func (s *routeStore) memoize(old []graph.EdgeID, pos int, route []graph.EdgeID) {
-	s.memo[rerouteKey{old: &old[0], pos: pos}] = route
+// memoize records route id, built from entry oldID at pos by a reroute
+// that passed the route checks, replacing any earlier entry for (oldID,
+// pos).
+func (s *routeStore) memoize(oldID packet.RouteID, pos int, id packet.RouteID) {
+	s.memo[rerouteKey{old: oldID, pos: int32(pos)}] = id
 }

@@ -50,7 +50,7 @@ func TestAdmitInvalidRouteSharingFirstEdge(t *testing.T) {
 	// The stored route is still the valid one and still shared.
 	a := e.Seed(packet.Inj(route(g, "e1", "e2")...))
 	b := e.Seed(packet.Inj(route(g, "e1", "e2")...))
-	if &a.Route[0] != &b.Route[0] {
+	if &a.Route()[0] != &b.Route()[0] {
 		t.Fatal("equal routes after failed admissions are not shared")
 	}
 	if e.Injected() != 3 {
@@ -82,8 +82,8 @@ func TestFailedRerouteLeavesNoMemo(t *testing.T) {
 		}
 	}
 	for _, p := range ps {
-		if p.Reroutes != 0 || !slices.Equal(p.Route, route(g, "e1", "e2")) {
-			t.Fatalf("failed reroutes changed %v: route %s", p, g.RouteString(p.Route))
+		if p.Reroutes != 0 || !slices.Equal(p.Route(), route(g, "e1", "e2")) {
+			t.Fatalf("failed reroutes changed %v: route %s", p, g.RouteString(p.Route()))
 		}
 	}
 }
@@ -147,8 +147,8 @@ func FuzzAdmitRoutes(f *testing.F) {
 			if got := panicMsg(func() { p = e.Seed(packet.Inj(r...)) }); got != want {
 				t.Fatalf("admit %s: panic %q, want %q", g.RouteString(r), got, want)
 			}
-			if want == "" && !slices.Equal(p.Route, r) {
-				t.Fatalf("admitted %s as %s", g.RouteString(r), g.RouteString(p.Route))
+			if want == "" && !slices.Equal(p.Route(), r) {
+				t.Fatalf("admitted %s as %s", g.RouteString(r), g.RouteString(p.Route()))
 			}
 			prev = r
 		}

@@ -217,15 +217,15 @@ func (*MaxRouteLen) OnStep(*sim.Engine) {}
 
 // OnInject implements sim.InjectionObserver.
 func (m *MaxRouteLen) OnInject(_ int64, p *packet.Packet) {
-	if len(p.Route) > m.D {
-		m.D = len(p.Route)
+	if len(p.Route()) > m.D {
+		m.D = len(p.Route())
 	}
 }
 
 // OnReroute implements sim.RerouteObserver (extensions lengthen
 // routes).
 func (m *MaxRouteLen) OnReroute(_ int64, p *packet.Packet, _ []graph.EdgeID) {
-	if len(p.Route) > m.D {
-		m.D = len(p.Route)
+	if len(p.Route()) > m.D {
+		m.D = len(p.Route())
 	}
 }
