@@ -85,7 +85,7 @@ func (p *Packet) Route() []graph.EdgeID {
 	if p.route == 0 {
 		return nil
 	}
-	return p.store.routes[p.route].edges
+	return p.store.Route(p.route)
 }
 
 // RouteID returns the store entry holding the packet's route (0 for no
@@ -100,7 +100,7 @@ func (p *Packet) SetRoute(id RouteID) {
 	s.Retain(id)
 	s.Drop(p.route)
 	p.route = id
-	p.hops = int32(len(s.routes[id].edges))
+	p.hops = int32(s.routes[id].n)
 }
 
 // Tag returns the packet's optional label for experiment bookkeeping
@@ -129,8 +129,15 @@ func (p *Packet) SourceName() string {
 // SetSourceName records the injection stream that created the packet.
 func (p *Packet) SetSourceName(name string) { p.source = p.store.label(name) }
 
-// CurrentEdge returns the edge whose buffer holds the packet.
-func (p *Packet) CurrentEdge() graph.EdgeID { return p.store.routes[p.route].edges[p.Pos] }
+// CurrentEdge returns the edge whose buffer holds the packet. It
+// panics once the packet has crossed its whole route.
+func (p *Packet) CurrentEdge() graph.EdgeID {
+	if uint32(p.Pos) >= uint32(p.hops) {
+		panic("packet: CurrentEdge past the end of the route")
+	}
+	c, off := p.store.edges(p.store.routes[p.route])
+	return c[off+uint32(p.Pos)]
+}
 
 // RemainingRoute returns the suffix of the route not yet completed,
 // starting with the current edge. The slice aliases Route.

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -63,6 +64,33 @@ func TestPacketAccessors(t *testing.T) {
 	var zero Packet
 	if zero.Route() != nil || zero.Tag() != "" || zero.SourceName() != "" || zero.RemainingHops() != 0 {
 		t.Error("zero packet has a route or labels")
+	}
+}
+
+// TestLabelsPastTheScan: labels past the first labelScan move to a
+// map and keep their IDs, and equal strings at different addresses
+// intern to one label.
+func TestLabelsPastTheScan(t *testing.T) {
+	var s Slab
+	var ps []*Packet
+	for i := 0; i < 3*labelScan; i++ {
+		_, p := s.New()
+		p.SetTag(fmt.Sprintf("tag%d", i))
+		p.SetSourceName(fmt.Sprintf("src%d", i%3))
+		ps = append(ps, p)
+	}
+	for i, p := range ps {
+		if p.Tag() != fmt.Sprintf("tag%d", i) || p.SourceName() != fmt.Sprintf("src%d", i%3) {
+			t.Fatalf("packet %d reads %q, %q", i, p.Tag(), p.SourceName())
+		}
+		_, q := s.New()
+		q.SetTag(strings.Clone(p.Tag()))
+		if q.tag != p.tag {
+			t.Fatalf("a copy of %q interned as %d, want %d", p.Tag(), q.tag, p.tag)
+		}
+	}
+	if n := len(s.Store().labels) - 1; n != 3*labelScan+3 {
+		t.Fatalf("%d labels interned, want %d", n, 3*labelScan+3)
 	}
 }
 

@@ -147,3 +147,59 @@ func TestStoreRecyclesEntriesNotEdges(t *testing.T) {
 		t.Fatalf("LiveRoutes = %d after every packet left, want 0", st.LiveRoutes())
 	}
 }
+
+// TestStoreLetsChunksGo: arena chunks whose routes have all been
+// recycled are let go and their indices reused, so a packet rerouted
+// many times keeps the arena at a chunk or two, and a slice of one of
+// its old routes still reads its edges.
+func TestStoreLetsChunksGo(t *testing.T) {
+	var s Slab
+	st := s.Store()
+	p := routed(&s, []graph.EdgeID{1, 2, 3}, 0)
+	first := p.Route()
+	for i := 0; i < 10*chunkEdges; i++ {
+		p.SetRoute(st.NewRoute([]graph.EdgeID{graph.EdgeID(i), 5, 6}))
+	}
+	held := 0
+	for _, c := range st.chunks {
+		if c != nil {
+			held++
+		}
+	}
+	if held > 2 || len(st.chunks) > 3 {
+		t.Fatalf("%d chunks, %d held, for one live route", len(st.chunks), held)
+	}
+	if !slices.Equal(first, []graph.EdgeID{1, 2, 3}) {
+		t.Fatalf("a let-go chunk's route slice reads %v", first)
+	}
+	if want := []graph.EdgeID{10*chunkEdges - 1, 5, 6}; !slices.Equal(p.Route(), want) {
+		t.Fatalf("Route = %v, want %v", p.Route(), want)
+	}
+}
+
+// TestStoreLongRoute: a route longer than a chunk gets a chunk of its
+// own, and every position reads back, as do the routes made around it.
+func TestStoreLongRoute(t *testing.T) {
+	var s Slab
+	st := s.Store()
+	long := make([]graph.EdgeID, 3*chunkEdges)
+	for i := range long {
+		long[i] = graph.EdgeID(i)
+	}
+	a := routed(&s, []graph.EdgeID{7, 8}, 0)
+	p := routed(&s, long, 0)
+	b := routed(&s, []graph.EdgeID{9}, 0)
+	for i := range long {
+		p.Pos = int32(i)
+		if p.CurrentEdge() != long[i] {
+			t.Fatalf("CurrentEdge at %d = %d", i, p.CurrentEdge())
+		}
+	}
+	if !slices.Equal(p.Route(), long) || !slices.Equal(a.Route(), []graph.EdgeID{7, 8}) ||
+		!slices.Equal(b.Route(), []graph.EdgeID{9}) {
+		t.Fatalf("routes read %v, %v and a %d-edge route", a.Route(), b.Route(), len(p.Route()))
+	}
+	if st.LiveRoutes() != 3 {
+		t.Fatalf("LiveRoutes = %d, want 3", st.LiveRoutes())
+	}
+}

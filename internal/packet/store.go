@@ -1,8 +1,6 @@
 package packet
 
 import (
-	"unsafe"
-
 	"aqt/internal/graph"
 )
 
@@ -22,11 +20,18 @@ type label uint32
 // an engine's admission cache may hold more (Retain, Drop). An entry
 // whose count falls to zero goes on a free list, and NewRoute reuses it
 // for a later route, so the number of entries tracks the routes live
-// packets and owners hold, not the routes ever made. Recycling reuses the entry,
-// never its edges: NewRoute copies each route into fresh arena space at
-// exact capacity and nothing writes it again, so a Route slice handed
-// out before its entry was recycled keeps its edges, and appending to
-// one cannot clobber a neighbour.
+// packets and owners hold, not the routes ever made.
+//
+// A route's edges sit in an arena chunk, and an entry names its chunk
+// by index and offset, so neither the entries nor a packet slot hold a
+// pointer. Recycling reuses the entry, never its edges: NewRoute only
+// appends to the newest chunk, and a chunk with no entries left is let
+// go (and its index reused with a new chunk), never written again. So a
+// Route slice handed out before its entry was recycled keeps its edges,
+// and appending to one cannot clobber a neighbour. A chunk holds the
+// routes made while it was the newest, so arena memory tracks the
+// routes held, as entries do, plus the chunks that a long-held route
+// keeps.
 //
 // Labels (tags and source names) are interned for the store's lifetime;
 // a store is meant for a handful of distinct labels, not one per packet.
@@ -34,43 +39,42 @@ type label uint32
 // The zero value is an empty store ready to use; it is not safe for
 // concurrent use.
 type Store struct {
-	routes []routeEntry // routes[0] is the empty route
-	free   []RouteID    // entries with no references, most recent last
-	arena  []graph.EdgeID
+	chunks [][]graph.EdgeID // the arena; nil where a chunk was let go
+	live   []int32          // live[c] counts the entries in chunks[c]
+	spare  []uint32         // indices of let-go chunks
+	fill   uint32           // the chunk NewRoute appends to
+	routes []routeEntry     // routes[0] is the empty route
+	free   []RouteID        // entries with no references, most recent last
 
 	labels   []string         // labels[0] is ""
 	labelIDs map[string]label // made once labels outgrow labelScan
-	// recent caches interned labels so that admitting a packet from one
-	// of a few dozen streams reads no map.
-	recent [labelSets]labelSet
 }
 
 const (
-	// labelSets is the number of sets in Store.recent.
-	labelSets = 32
-	// labelScan is the number of labels a recent-cache miss scans
-	// before the store indexes them in a map.
+	// labelScan is the number of labels a lookup scans before the
+	// store indexes them in a map.
 	labelScan = 8
 	// routesCap is the capacity of a store's first route table, enough
 	// for a short run's routes in one allocation.
 	routesCap = 16
+	// An arena chunk holds 1<<chunkShift edges, so an entry's chunk and
+	// offset in it share one uint32; a longer route gets a chunk of its
+	// own length, at offset 0.
+	chunkShift = 10
+	chunkEdges = 1 << chunkShift
 )
 
+// routeEntry places a route in the arena: at offset at&(chunkEdges-1)
+// of chunk at>>chunkShift, n edges. A recycled entry is zero until
+// NewRoute reuses it.
 type routeEntry struct {
-	edges []graph.EdgeID
+	at, n uint32
 	refs  int32
 }
 
-type labelRef struct {
-	name string
-	id   label
-}
-
-// labelSet is a two-way set of Store.recent. A hit writes no pointer:
-// it updates at most the scalar next.
-type labelSet struct {
-	ways [2]labelRef
-	next uint8 // the way a miss replaces
+// edges returns the chunk holding r and r's offset in it.
+func (s *Store) edges(r routeEntry) ([]graph.EdgeID, uint32) {
+	return s.chunks[r.at>>chunkShift], r.at & (chunkEdges - 1)
 }
 
 // NewRoute copies the concatenation of parts into the store and returns
@@ -82,25 +86,56 @@ func (s *Store) NewRoute(parts ...[]graph.EdgeID) RouteID {
 	for _, part := range parts {
 		n += len(part)
 	}
-	if cap(s.arena)-len(s.arena) < n {
-		s.arena = make([]graph.EdgeID, 0, max(n, 1024))
+	// A route starts below its chunk's capacity, even an empty one, so
+	// its offset fits under chunkShift bits unless it has the chunk to
+	// itself.
+	c := s.fill
+	if len(s.chunks) == 0 || cap(s.chunks[c])-len(s.chunks[c]) < max(n, 1) {
+		c = s.newChunk(n)
 	}
-	start := len(s.arena)
+	r := routeEntry{at: c<<chunkShift | uint32(len(s.chunks[c])), n: uint32(n)}
 	for _, part := range parts {
-		s.arena = append(s.arena, part...)
+		s.chunks[c] = append(s.chunks[c], part...)
 	}
-	edges := s.arena[start : start+n : start+n]
+	s.live[c]++
 	if k := len(s.free); k > 0 {
 		id := s.free[k-1]
 		s.free = s.free[:k-1]
-		s.routes[id] = routeEntry{edges: edges}
+		s.routes[id] = r
 		return id
 	}
 	if len(s.routes) == 0 {
 		s.routes = make([]routeEntry, 1, routesCap)
 	}
-	s.routes = append(s.routes, routeEntry{edges: edges})
+	s.routes = append(s.routes, r)
 	return RouteID(len(s.routes) - 1)
+}
+
+// newChunk makes a chunk with room for n edges the one NewRoute appends
+// to, letting the previous one go if it holds no entries, and returns
+// its index.
+func (s *Store) newChunk(n int) uint32 {
+	if len(s.chunks) > 0 && s.live[s.fill] == 0 {
+		s.letGo(s.fill)
+	}
+	edges := make([]graph.EdgeID, 0, max(n, chunkEdges))
+	if k := len(s.spare); k > 0 {
+		s.fill = s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		s.chunks[s.fill] = edges
+	} else {
+		s.fill = uint32(len(s.chunks))
+		s.chunks = append(s.chunks, edges)
+		s.live = append(s.live, 0)
+	}
+	return s.fill
+}
+
+// letGo drops the store's hold on chunk c, which holds no entries; any
+// Route slice still in it keeps it alive, unchanged.
+func (s *Store) letGo(c uint32) {
+	s.chunks[c] = nil
+	s.spare = append(s.spare, c)
 }
 
 // Route returns the edges of entry id.
@@ -108,7 +143,9 @@ func (s *Store) Route(id RouteID) []graph.EdgeID {
 	if id == 0 {
 		return nil
 	}
-	return s.routes[id].edges
+	r := s.routes[id]
+	c, off := s.edges(r)
+	return c[off : off+r.n : off+r.n]
 }
 
 // Held reports whether entry id holds a reference, so that its edges are
@@ -131,7 +168,12 @@ func (s *Store) Drop(id RouteID) {
 	r := &s.routes[id]
 	r.refs--
 	if r.refs == 0 {
+		c := r.at >> chunkShift
+		*r = routeEntry{}
 		s.free = append(s.free, id)
+		if s.live[c]--; s.live[c] == 0 && c != s.fill {
+			s.letGo(c)
+		}
 	}
 }
 
@@ -139,61 +181,37 @@ func (s *Store) Drop(id RouteID) {
 // free list: those with references plus any made and not yet retained.
 func (s *Store) LiveRoutes() int { return max(len(s.routes)-1, 0) - len(s.free) }
 
-// label interns name, checking its recent set before the map. An
-// adversary passes the same string for every packet of a stream, so the
-// cache matches by identity: the address of the name's bytes picks the
-// set, and a way hits when it holds a string with the same bytes and
-// length. The cached string keeps those bytes alive, so identity implies
-// equality; an equal name elsewhere in memory just takes the map. The
-// way-0 hit is kept small enough to inline into admission.
+// label interns name: a scan of the first labelScan labels, then a map.
+// Adversaries pass the same few strings for every packet, so a scan
+// mostly compares a string with itself, which Go does by length and
+// address.
 func (s *Store) label(name string) label {
-	set := &s.recent[uint64(uintptr(unsafe.Pointer(unsafe.StringData(name))))*0x9E3779B97F4A7C15>>59%labelSets]
-	if r := &set.ways[0]; unsafe.StringData(r.name) == unsafe.StringData(name) && len(r.name) == len(name) {
-		return r.id
-	}
-	return s.labelMiss(name, set)
-}
-
-// labelMiss is label past a way-0 miss in set: a way-1 hit, the empty
-// name, or interning name and caching it in the way not hit last.
-func (s *Store) labelMiss(name string, set *labelSet) label {
 	if name == "" {
 		return 0
 	}
-	if r := &set.ways[1]; unsafe.StringData(r.name) == unsafe.StringData(name) && len(r.name) == len(name) {
-		set.next = 0
-		return r.id
-	}
-	id := s.find(name)
-	if id == 0 {
-		if len(s.labels) == 0 {
-			s.labels = make([]string, 1, labelScan)
+	if s.labelIDs != nil {
+		if id, ok := s.labelIDs[name]; ok {
+			return id
 		}
-		id = label(len(s.labels))
-		s.labels = append(s.labels, name)
-		if s.labelIDs != nil {
-			s.labelIDs[name] = id
-		} else if len(s.labels) > labelScan {
-			s.labelIDs = make(map[string]label, 2*len(s.labels))
-			for i, l := range s.labels[1:] {
-				s.labelIDs[l] = label(i + 1)
+	} else {
+		for i, l := range s.labels {
+			if i > 0 && l == name {
+				return label(i)
 			}
 		}
 	}
-	w := set.next
-	set.ways[w], set.next = labelRef{name, id}, 1-w
-	return id
-}
-
-// find returns the ID of an interned label, or 0.
-func (s *Store) find(name string) label {
-	if s.labelIDs != nil {
-		return s.labelIDs[name]
+	if len(s.labels) == 0 {
+		s.labels = make([]string, 1, labelScan)
 	}
-	for i, l := range s.labels {
-		if i > 0 && l == name {
-			return label(i)
+	id := label(len(s.labels))
+	s.labels = append(s.labels, name)
+	if s.labelIDs != nil {
+		s.labelIDs[name] = id
+	} else if len(s.labels) > labelScan {
+		s.labelIDs = make(map[string]label, 2*len(s.labels))
+		for i, l := range s.labels[1:] {
+			s.labelIDs[l] = label(i + 1)
 		}
 	}
-	return 0
+	return id
 }

@@ -9,7 +9,6 @@ package sim_test
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"aqt/internal/adversary"
@@ -117,7 +116,14 @@ func TestExtendRouteAllocs(t *testing.T) {
 // allocs/op: on a balanced Line/FIFO run (every edge loaded at rate 1,
 // so the backlog stays constant) absorbed packets' slots and the
 // interned injection routes are reused, and 10⁵ steps after warm-up
-// allocate nothing at all.
+// allocate nothing at all. The byte count is process-wide, and the
+// runtime now and then allocates into it on its own, as memory
+// profiles of failing windows show: starting an OS thread for an idle
+// P when ReadMemStats or a GC cycle restarts the world (runtime.allocm,
+// 5.5 KB), or the unique package's cleanup after a GC cycle (16 to 48
+// bytes). So a window that reads bytes is followed by another, up to
+// three, and the least counts: an engine that allocates as it steps
+// fails every one.
 func TestBalancedRunAllocatesZeroBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -129,16 +135,16 @@ func TestBalancedRunAllocatesZeroBytes(t *testing.T) {
 	}
 	e := sim.New(g, policy.FIFO{}, sim.InjectFunc(func(*sim.Engine) []packet.Injection { return injs }))
 	e.RunQuiet(1000)
-	var before, after runtime.MemStats
-	// Keep GC out of the window (this also waits out a cycle the
-	// warm-up or an earlier test started): under CPU load, runs with a
-	// cycle next to the window read 16 to 5504 stray bytes.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.ReadMemStats(&before)
-	e.RunQuiet(100_000)
-	runtime.ReadMemStats(&after)
-	if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
-		t.Errorf("balanced Line/FIFO run: %d bytes allocated over 10⁵ steps, want 0", d)
+	bytes := uint64(1 << 63)
+	for w := 0; w < 3 && bytes != 0; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.RunQuiet(100_000)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bytes != 0 {
+		t.Errorf("balanced Line/FIFO run: %d bytes allocated over 10⁵ steps, want 0", bytes)
 	}
 	if e.TotalQueued() > 8 {
 		t.Errorf("backlog %d: the run is not balanced", e.TotalQueued())
